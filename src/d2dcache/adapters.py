@@ -205,7 +205,7 @@ def prune_signal(scheme: LinearScheme, demand: Demand,
             span = spans[r].copy()
             for key in keys:
                 span.add(rows[key])
-            if not _file_decodable(span, scheme.N, scheme.L, demand[r - 1], scheme.field):
+            if not _file_decodable(span, scheme.N, scheme.L, demand[r - 1]):
                 return False
         return True
 

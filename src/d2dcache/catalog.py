@@ -1,9 +1,12 @@
 """Constructors for every built-in caching/delivery scheme.
 
 Each builder returns a LinearScheme whose verified memory and worst-case
-rate land exactly on the advertised corner point.  Delivery rows are
-always expressed over the sender's cache via solve_in_rowspace, so a
+rate land exactly on the advertised corner point.  Builders that design
+delivery rows in symbol space express them over the sender's cache via
+solve_in_rowspace, which reuses one echelon per sender placement, so a
 construction bug surfaces as an EncodingError instead of a bad scheme.
+The kuser/mds builder sends cached rows as they are and writes their
+coefficients directly.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .curves import RatePoint, TradeoffCurve, envelope
 from .errors import ConfigurationError, EncodingError
 from .field import GF2, FieldMatrix, FieldSpec, mds_generator, min_extension_degree, solve_in_rowspace
 from .model import (
@@ -33,9 +35,6 @@ __all__ = [
     "build_traditional_scheme",
     "build_kuser_scheme",
     "corner_value",
-    "envelope",
-    "RatePoint",
-    "TradeoffCurve",
 ]
 
 

@@ -23,7 +23,7 @@ from .bounds import (
     load_external_curve,
     paper_corner_points,
 )
-from .curves import TradeoffCurve, envelope, parse_fraction
+from .curves import envelope, parse_fraction
 from .errors import D2DCacheError, FeasibilityError
 from .io import dump_scheme, resolve_scheme
 from .verify import verify
@@ -217,17 +217,14 @@ def cmd_rr_compare(args) -> int:
     corner_Ms += [m for c in base_curves.values() for m in c.corner_Ms()]
     grid = _sample_grid(lo, hi, args.samples, corner_Ms)
 
-    def curve_rate(curve: TradeoffCurve, M: Fraction) -> Fraction:
-        return curve.value_at(M)
-
     lines = ["M,avg_ours,avg_baseline"]
     for M in grid:
         rates_ours = {0: Fraction(0)}
         rates_base = {0: Fraction(0)}
         try:
             for r in (1, 2, 3):
-                rates_ours[r] = curve_rate(ours[r], M)
-                rates_base[r] = curve_rate(base_curves[f"r{r}"], M)
+                rates_ours[r] = ours[r].value_at(M)
+                rates_base[r] = base_curves[f"r{r}"].value_at(M)
         except FeasibilityError:
             continue
         avg_ours = average_rate(args.p, rates_ours)

@@ -3,6 +3,11 @@
 Elements of GF(2^m) are integers in [0, 2^m) interpreted as polynomials
 over GF(2); multiplication reduces modulo a fixed irreducible polynomial
 so that serialized matrices are portable across implementations.
+
+Linear algebra runs over GF(2) on binary images: a row over GF(2^m) is one
+int with entry j in bits [j*m, (j+1)*m).  One packed echelon (RowSpan)
+answers rank, membership and solving in every field, and a matrix product
+is an XOR of the right factor's cached row images.
 """
 
 from __future__ import annotations
@@ -135,8 +140,6 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         if self.m == 1:
             return a & b
@@ -214,28 +217,19 @@ class FieldMatrix:
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.ncols != other.nrows or self.spec != other.spec:
             raise ConfigurationError("dimension mismatch in matrix product")
-        spec = self.spec
-        if spec.m == 1:
-            packed = [_pack(r) for r in other.rows]
-            out = []
-            for row in self.rows:
-                acc = 0
-                for c, v in enumerate(row):
-                    if v:
-                        acc ^= packed[c]
-                out.append(_unpack(acc, other.ncols))
-            return FieldMatrix(spec, self.nrows, other.ncols, tuple(out))
+        m = self.spec.m
+        images = other._images
         out = []
         for row in self.rows:
-            acc = [0] * other.ncols
-            for c, v in enumerate(row):
+            # v * (row k) is the XOR of the images of x^i * (row k) over the set bits i of v
+            acc = 0
+            for v, lifted in zip(row, images):
                 if v:
-                    orow = other.rows[c]
-                    for j, w in enumerate(orow):
-                        if w:
-                            acc[j] ^= spec.mul(v, w)
-            out.append(tuple(acc))
-        return FieldMatrix(spec, self.nrows, other.ncols, tuple(out))
+                    for i, image in enumerate(lifted):
+                        if v >> i & 1:
+                            acc ^= image
+            out.append(_unpack(acc, other.ncols, m))
+        return FieldMatrix(self.spec, self.nrows, other.ncols, tuple(out))
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(
@@ -257,45 +251,93 @@ class FieldMatrix:
     def row_set(self) -> frozenset:
         return frozenset(self.rows)
 
+    # Cached on the immutable matrix.  Only reused matrices, such as
+    # placements, reach these: as a basis or as the right factor of matmul.
 
-def _pack(row: Sequence[int]) -> int:
-    mask = 0
-    for i, v in enumerate(row):
-        if v:
-            mask |= 1 << i
-    return mask
+    @functools.cached_property
+    def _images(self) -> list[list[int]]:
+        """Per row, the binary images of x^i * row for i < m."""
+        span = RowSpan(self.spec, self.ncols)
+        return [span._lift(span._image(r)) for r in self.rows]
+
+    @functools.cached_property
+    def _echelon(self) -> "RowSpan":
+        """Echelon of the rows with a coefficient mask per pivot (see RowSpan)."""
+        span = RowSpan(self.spec, self.ncols)
+        tag = 1 << (self.ncols * self.spec.m)
+        for images in self._images:
+            for image in images:
+                span._insert(image | tag)
+                tag <<= 1
+        return span
 
 
-def _unpack(mask: int, ncols: int) -> tuple[int, ...]:
-    return tuple((mask >> i) & 1 for i in range(ncols))
+def _unpack(mask: int, n: int, m: int) -> tuple[int, ...]:
+    """The n field elements held in the m-bit lanes of a binary image."""
+    lane = (1 << m) - 1
+    return tuple((mask >> shift) & lane for shift in range(0, n * m, m))
 
 
 class RowSpan:
-    """Incremental row-space tracker (echelon pivots) over a field.
+    """Incremental GF(2) echelon of binary row images, for every GF(2^m).
 
-    GF(2) rows are kept as packed integers so reduce/insert are a few
-    big-int XORs; larger fields fall back to tuple rows.
+    A row enters as the images of x^i * row for i < m.  Their GF(2)-span is
+    exactly the binary image of the row's GF(2^m)-span, so membership is
+    one GF(2) reduction and the rank over GF(2^m) is the pivot count over m.
+    Pivots are packed ints keyed by their lowest set bit.
+
+    A matrix's echelon (`FieldMatrix._echelon`) also carries, above the row
+    bits, a coefficient mask per pivot in which bit k*m + i stands for
+    x^i * (row k).  Read in m-bit lanes, the mask of a reduced target is the
+    GF(2^m) weight of each matrix row, because field elements are
+    polynomials stored as ints.  Rows that depend on earlier rows never
+    become pivots, so they get weight 0.
     """
 
     def __init__(self, spec: FieldSpec, ncols: int):
         self.spec = spec
         self.ncols = ncols
-        self.pivots: dict[int, object] = {}  # leading column -> normalized row
+        self.pivots: dict[int, int] = {}  # lowest set bit -> reduced image
+        m = spec.m
+        self._row_bits = (1 << (ncols * m)) - 1
+        self._lane_tops = self._row_bits // ((1 << m) - 1) << (m - 1)
 
     def copy(self) -> "RowSpan":
         dup = RowSpan.__new__(RowSpan)
-        dup.spec = self.spec
-        dup.ncols = self.ncols
+        dup.__dict__.update(self.__dict__)
         dup.pivots = dict(self.pivots)
         return dup
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.pivots) // self.spec.m
 
-    # -- GF(2) packed path -------------------------------------------------
+    def _image(self, row) -> int:
+        """Binary image of a row; an int is taken to be an image already."""
+        if isinstance(row, int):
+            return row
+        m = self.spec.m
+        mask = 0
+        for shift, v in zip(range(0, len(row) * m, m), row):
+            if v:
+                mask |= v << shift
+        return mask
 
-    def _reduce_packed(self, mask: int) -> int:
+    def _lift(self, mask: int) -> list[int]:
+        """The images of x^i * row for i < m, from the image of row."""
+        m, tops = self.spec.m, self._lane_tops
+        low = self.spec.modulus ^ (1 << m)
+        images = [mask]
+        for _ in range(m - 1):
+            # Raise every lane one degree; a lane that reaches x^m is reduced
+            # by the modulus.  Lanes are m bits apart, so nothing carries.
+            top = mask & tops
+            mask = ((mask ^ top) << 1) ^ (top >> (m - 1)) * low
+            images.append(mask)
+        return images
+
+    def _reduce(self, mask: int) -> int:
+        """Clear every pivot lead from mask, lowest bit first."""
         pivots = self.pivots
         while mask:
             lead = (mask & -mask).bit_length() - 1
@@ -305,103 +347,61 @@ class RowSpan:
             mask ^= piv
         return 0
 
-    # -- generic path --------------------------------------------------------
-
-    def _reduce_tuple(self, row: list[int]) -> list[int]:
-        spec = self.spec
-        for c in range(self.ncols):
-            v = row[c]
-            if not v:
-                continue
-            piv = self.pivots.get(c)
-            if piv is None:
-                return row
-            for j in range(c, self.ncols):
-                if piv[j]:
-                    row[j] = spec.add(row[j], spec.mul(v, piv[j]))
-        return row
+    def _insert(self, mask: int) -> bool:
+        residual = self._reduce(mask)
+        if not residual & self._row_bits:
+            return False
+        self.pivots[(residual & -residual).bit_length() - 1] = residual
+        return True
 
     def add(self, row) -> bool:
-        """Insert a row; returns True when it enlarged the span."""
-        if self.spec.m == 1:
-            mask = row if isinstance(row, int) else _pack(row)
-            residual = self._reduce_packed(mask)
-            if residual == 0:
-                return False
-            lead = (residual & -residual).bit_length() - 1
-            self.pivots[lead] = residual
-            return True
-        work = list(row)
-        residual = self._reduce_tuple(work)
-        for c in range(self.ncols):
-            if residual[c]:
-                inv = self.spec.inv(residual[c])
-                self.pivots[c] = tuple(self.spec.mul(inv, v) for v in residual)
-                return True
-        return False
-
-    def contains(self, row) -> bool:
-        if self.spec.m == 1:
-            mask = row if isinstance(row, int) else _pack(row)
-            return self._reduce_packed(mask) == 0
-        return not any(self._reduce_tuple(list(row)))
+        """Insert a row (or its binary image); True when it enlarged the span."""
+        mask = self._image(row)
+        if not self._insert(mask):
+            return False  # the span is closed under x, so it holds every x^i * row
+        for image in self._lift(mask)[1:]:
+            self._insert(image)
+        return True
 
     def add_matrix(self, matrix: FieldMatrix) -> None:
         for r in matrix.rows:
             self.add(r)
 
+    def add_span(self, other: "RowSpan") -> None:
+        """Insert every row of another span that has no coefficient masks."""
+        for piv in other.pivots.values():
+            self._insert(piv)
+
+    def contains(self, row) -> bool:
+        return not self._reduce(self._image(row)) & self._row_bits
+
+    def express(self, row) -> Optional[int]:
+        """Coefficient mask of row over a matrix's echelon; None outside the span."""
+        residual = self._reduce(self._image(row))
+        if residual & self._row_bits:
+            return None
+        return residual >> (self.ncols * self.spec.m)
+
 
 def mat_rank(matrix: FieldMatrix) -> int:
-    """Rank by Gaussian elimination over the matrix's field."""
+    """Rank over the matrix's field."""
     span = RowSpan(matrix.spec, matrix.ncols)
     span.add_matrix(matrix)
     return span.rank
 
 
-NOT_REPRESENTABLE = None
-
-
 def solve_in_rowspace(target: Sequence[int], basis: FieldMatrix) -> Optional[tuple[int, ...]]:
     """Coefficients c with c @ basis == target, or None when outside the span.
 
-    The system basis^T c = target^T is brought to reduced echelon form;
-    free variables are fixed at zero, making the answer deterministic.
+    Basis rows that depend on earlier rows get weight 0, making the answer
+    deterministic.  The basis's echelon is built once and cached on it.
     """
     spec = basis.spec
-    n = basis.nrows
     if len(target) != basis.ncols:
         raise ConfigurationError("target length must match basis column count")
-    # Augmented rows: one per symbol column, unknowns are basis-row weights.
-    aug = [[basis.rows[j][c] for j in range(n)] + [spec.check_element(int(target[c]))]
-           for c in range(basis.ncols)]
-    pivot_of_unknown: dict[int, int] = {}
-    pivot_row = 0
-    for col in range(n):
-        sel = None
-        for r in range(pivot_row, len(aug)):
-            if aug[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        inv = spec.inv(aug[pivot_row][col])
-        if inv != 1:
-            aug[pivot_row] = [spec.mul(inv, v) for v in aug[pivot_row]]
-        prow = aug[pivot_row]
-        for r in range(len(aug)):
-            if r != pivot_row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [spec.add(v, spec.mul(f, p)) for v, p in zip(aug[r], prow)]
-        pivot_of_unknown[col] = pivot_row
-        pivot_row += 1
-    for r in range(pivot_row, len(aug)):
-        if aug[r][n]:
-            return NOT_REPRESENTABLE
-    coeffs = [0] * n
-    for col, r in pivot_of_unknown.items():
-        coeffs[col] = aug[r][n]
-    return tuple(coeffs)
+    row = [spec.check_element(int(v)) for v in target]
+    coeffs = basis._echelon.express(row)
+    return None if coeffs is None else _unpack(coeffs, basis.nrows, spec.m)
 
 
 def min_extension_degree(n_out: int) -> int:

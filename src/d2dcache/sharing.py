@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, ResourceBudgetError
-from .field import FieldMatrix
+from .field import FieldMatrix, FieldSpec
 from .model import (
     Demand,
     LinearScheme,
@@ -37,6 +37,12 @@ def _block_col_map(N: int, L_part: int, L_total: int, offset: int) -> list[int]:
         for l in range(1, L_part + 1):
             out[symbol_col(N, L_part, n, l)] = symbol_col(N, L_total, n, offset + l)
     return out
+
+
+def _stacked(spec: FieldSpec, ncols: int, blocks: Iterable[FieldMatrix]) -> FieldMatrix:
+    """One matrix holding the rows of every block, in order."""
+    rows = tuple(row for block in blocks for row in block.rows)
+    return FieldMatrix(spec, len(rows), ncols, rows)
 
 
 def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearScheme:
@@ -64,12 +70,12 @@ def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearSchem
 
     col_maps = [_block_col_map(N, sch.L, L_total, off) for sch, off in zip(instances, offsets)]
 
-    placement = []
-    for k in range(1, K + 1):
-        stacked = FieldMatrix.empty(first.field, N * L_total)
-        for sch, cmap in zip(instances, col_maps):
-            stacked = stacked.stack(sch.placement_matrix(k).map_columns(cmap, N * L_total))
-        placement.append(stacked)
+    placement = [
+        _stacked(first.field, N * L_total,
+                 (sch.placement_matrix(k).map_columns(cmap, N * L_total)
+                  for sch, cmap in zip(instances, col_maps)))
+        for k in range(1, K + 1)
+    ]
 
     demands = enumerate_demands(first.model, N, K, first.s)
     delivery: dict[Demand, dict[int, SenderSignal]] = {}
@@ -81,7 +87,7 @@ def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearSchem
             total_w = sum(widths)
             rows: list[tuple[int, ...]] = []
             serves: list = []
-            raw = FieldMatrix.empty(first.field, N * L_total)
+            raw_blocks: list[FieldMatrix] = []
             any_serves = False
             col_off = 0
             for sig, w, cmap in zip(blocks, widths, col_maps):
@@ -94,8 +100,9 @@ def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearSchem
                     else:
                         serves.append(None)
                 if sig.raw_rows is not None:
-                    raw = raw.stack(sig.raw_rows.map_columns(cmap, N * L_total))
+                    raw_blocks.append(sig.raw_rows.map_columns(cmap, N * L_total))
                 col_off += w
+            raw = _stacked(first.field, N * L_total, raw_blocks)
             per_sender[k] = SenderSignal(
                 FieldMatrix(first.field, len(rows), total_w, tuple(rows)),
                 tuple(serves) if any_serves else None,
@@ -242,15 +249,12 @@ class SymmetrizedScheme:
         return sig
 
     def placement_matrix(self, k: int) -> FieldMatrix:
-        N, base_L, total = self.N, self.base.L, self.N * self.L
-        stacked = FieldMatrix.empty(self.field, total)
-        for idx, (up, fp) in enumerate(self.group):
-            inv_up = _invert(up)
-            cmap = self._copy_col_map(fp, idx * base_L)
-            stacked = stacked.stack(
-                self.base.placement_matrix(inv_up[k - 1]).map_columns(cmap, total)
-            )
-        return stacked
+        base_L, total = self.base.L, self.N * self.L
+        return _stacked(self.field, total, (
+            self.base.placement_matrix(_invert(up)[k - 1]).map_columns(
+                self._copy_col_map(fp, idx * base_L), total)
+            for idx, (up, fp) in enumerate(self.group)
+        ))
 
     def _copy_col_map(self, fp: tuple[int, ...], offset: int) -> list[int]:
         N, base_L = self.N, self.base.L
@@ -262,15 +266,15 @@ class SymmetrizedScheme:
 
     def transmitted_rows(self, d: Demand) -> dict[int, FieldMatrix]:
         total = self.N * self.L
-        out = {k: FieldMatrix.empty(self.field, total) for k in senders_of(self.model, d)}
+        blocks: dict[int, list[FieldMatrix]] = {k: [] for k in senders_of(self.model, d)}
         for idx, (up, fp) in enumerate(self.group):
             inv_up, inv_fp = _invert(up), _invert(fp)
             db = apply_demand_perm(d, inv_up, inv_fp)
             signals = self._base_signals(db)
             cmap = self._copy_col_map(fp, idx * self.base.L)
-            for j in out:
-                out[j] = out[j].stack(signals[inv_up[j - 1]].map_columns(cmap, total))
-        return out
+            for j, mats in blocks.items():
+                mats.append(signals[inv_up[j - 1]].map_columns(cmap, total))
+        return {j: _stacked(self.field, total, mats) for j, mats in blocks.items()}
 
     def to_explicit(self) -> LinearScheme:
         """Materialize the block-diagonal composite (small N only)."""

@@ -167,13 +167,14 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
         decodable: Optional[bool] = None
         failed: tuple[int, ...] = ()
         if check_decodability:
-            signals = scheme.transmitted_rows(d)
+            sent = RowSpan(scheme.field, scheme.symbol_count)
+            for mat in scheme.transmitted_rows(d).values():
+                sent.add_matrix(mat)
             bad = []
             for r in requesters_of(d):
                 span = user_spans[r].copy()
-                for mat in signals.values():
-                    span.add_matrix(mat)
-                if not _file_decodable(span, N, L, d[r - 1], scheme.field):
+                span.add_span(sent)
+                if not _file_decodable(span, N, L, d[r - 1]):
                     bad.append(r)
             decodable = not bad
             failed = tuple(bad)
@@ -196,17 +197,11 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
     )
 
 
-def _file_decodable(span: RowSpan, N: int, L: int, file_id: int, field) -> bool:
-    if field.m == 1:
-        base = symbol_col(N, L, file_id, 1)
-        return all(span.contains(1 << (base + l)) for l in range(L))
-    cols = N * L
-    for l in range(1, L + 1):
-        row = [0] * cols
-        row[symbol_col(N, L, file_id, l)] = 1
-        if not span.contains(tuple(row)):
-            return False
-    return True
+def _file_decodable(span: RowSpan, N: int, L: int, file_id: int) -> bool:
+    """True when every unit selector of the file lies in the span."""
+    m = span.spec.m
+    base = symbol_col(N, L, file_id, 1)
+    return all(span.contains(1 << ((base + l) * m)) for l in range(L))
 
 
 def decodes_demand(scheme: LinearScheme, d: Demand, users: tuple[int, ...],
@@ -219,6 +214,6 @@ def decodes_demand(scheme: LinearScheme, d: Demand, users: tuple[int, ...],
         span.add_matrix(scheme.placement_matrix(r))
         for mat in signals.values():
             span.add_matrix(mat)
-        if not _file_decodable(span, scheme.N, scheme.L, d[r - 1], scheme.field):
+        if not _file_decodable(span, scheme.N, scheme.L, d[r - 1]):
             return False
     return True

@@ -151,7 +151,7 @@ def test_prune_monotone_and_still_decodes(N):
                 span.add_matrix(scheme.placement_matrix(r))
                 for row in pruned.symbol_rows:
                     span.add(row)
-                assert _file_decodable(span, N, scheme.L, demand[r - 1], scheme.field)
+                assert _file_decodable(span, N, scheme.L, demand[r - 1])
 
 
 # ---------------------------------------------------------------------------

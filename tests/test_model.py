@@ -209,6 +209,29 @@ def test_deleting_rows_never_helps_decoding():
             assert not (decodes_demand(thinner, d, requesters_of(d)) and not full_ok)
 
 
+@pytest.mark.parametrize("N,K,s,m", [(3, 4, 1, 2), (2, 6, 3, 3)])
+def test_removing_one_demands_rows_fails_exactly_that_demand_over_extension_fields(N, K, s, m):
+    scheme = cached_kuser(CornerPointId.KU_MDS, N, K, s)
+    assert scheme.field.m == m
+    valid = verify(scheme)
+    assert valid.passed
+    rng = random.Random(N * 100 + K)
+    for d in rng.sample(sorted(scheme.delivery), 3):
+        delivery = dict(scheme.delivery)
+        delivery[d] = {k: SenderSignal(FieldMatrix.empty(scheme.field, scheme.placement_rows(k)))
+                       for k in delivery[d]}
+        broken = LinearScheme(scheme.model, N, K, s, scheme.L, scheme.field,
+                              scheme.placement, delivery)
+        report = verify(broken)
+        assert not report.passed
+        for before, after in zip(valid.demands, report.demands):
+            if after.demand == d:
+                assert after.decodable is False
+                assert after.failed_users == requesters_of(d)
+            else:
+                assert after == before
+
+
 # ---------------------------------------------------------------------------
 # memory sharing
 # ---------------------------------------------------------------------------
