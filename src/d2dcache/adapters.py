@@ -24,6 +24,7 @@ from .model import (
     SenderSignal,
     enumerate_demands,
     requesters_of,
+    senders_of,
     symbol_col,
 )
 from .verify import verify, _file_decodable
@@ -303,16 +304,16 @@ def adapt_request_random(base: LinearScheme) -> RequestRandomAdaptation:
     worst = {0: Fraction(0), 1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
 
     for d in enumerate_demands(ModelKind.REQUEST_RANDOM, N, 3):
-        zeros = tuple(k + 1 for k, v in enumerate(d) if v == 0)
-        r = 3 - len(zeros)
+        requesters = requesters_of(d)
+        r = len(requesters)
         if r == 0:
             delivery[d] = {
                 k: SenderSignal(FieldMatrix.empty(spec, placement[k - 1].nrows))
                 for k in (1, 2, 3)
             }
         elif r == 1:
-            real = requesters_of(d)[0]
-            sender, fake = zeros[0], zeros[1]
+            (real,) = requesters
+            sender, fake = senders_of(d)
             fd = list(d)
             fd[fake - 1] = d[real - 1]
             fd[sender - 1] = 0
@@ -333,7 +334,7 @@ def adapt_request_random(base: LinearScheme) -> RequestRandomAdaptation:
             fake_assignments[d] = FakeAssignment(d, fake_demand, {fake: d[real - 1]}, sender)
             worst[1] = max(worst[1], Fraction(pruned.row_count, L))
         elif r == 2:
-            sender = zeros[0]
+            (sender,) = senders_of(d)
             sig = base.delivery[d][sender]
             coeff_rows = []
             serves = []

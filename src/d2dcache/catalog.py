@@ -23,6 +23,7 @@ from .model import (
     ModelKind,
     SenderSignal,
     enumerate_demands,
+    idle_counts,
     senders_of,
     symbol_col,
     unit_row,
@@ -90,7 +91,7 @@ def _empty_delivery(model: ModelKind, N: int, K: int, s: Optional[int],
     for d in enumerate_demands(model, N, K, s):
         delivery[d] = {
             k: SenderSignal(FieldMatrix.empty(placement[k - 1].spec, placement[k - 1].nrows))
-            for k in senders_of(model, d)
+            for k in senders_of(d)
         }
     return delivery
 
@@ -291,8 +292,7 @@ def build_traditional_scheme(point: CornerPointId, N: int) -> LinearScheme:
 def build_kuser_scheme(point: CornerPointId, N: int, K: int, s: int) -> LinearScheme:
     if N < 2:
         raise ConfigurationError("need at least two files")
-    if not 1 <= s <= K - 2:
-        raise ConfigurationError(f"need 1 <= s <= K-2, got s={s} for K={K}")
+    idle_counts(ModelKind.K_USER_S_SENDERS, N, K, s)
     if point is CornerPointId.KU_FULL:
         return _full_scheme(ModelKind.K_USER_S_SENDERS, N, K, s)
     if point is CornerPointId.KU_MDS:
@@ -322,7 +322,7 @@ def _kuser_mds(N: int, K: int, s: int) -> LinearScheme:
     for d in enumerate_demands(ModelKind.K_USER_S_SENDERS, N, K, s):
         distinct = sorted({v for v in d if v})
         per_sender = {}
-        for k in senders_of(ModelKind.K_USER_S_SENDERS, d):
+        for k in senders_of(d):
             coeffs = []
             serves = []
             for f in distinct:
@@ -348,7 +348,7 @@ def _kuser_man(N: int, K: int, s: int) -> LinearScheme:
     )
     delivery = {}
     for d in enumerate_demands(ModelKind.K_USER_S_SENDERS, N, K, s):
-        senders = senders_of(ModelKind.K_USER_S_SENDERS, d)
+        senders = senders_of(d)
         lead = min(senders)
         row = xor_rows(*[unit_row(N, L, d[k - 1], k) for k in range(1, K + 1) if d[k - 1]])
         per_sender = {}

@@ -116,17 +116,3 @@ def first_crossing(a: TradeoffCurve, b: TradeoffCurve,
     if a.value_at(hi) < b.value_at(hi):
         return hi
     return None
-
-
-def rational_grid(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
-    lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
-    if step <= 0 or hi < lo:
-        raise ConfigurationError("need step > 0 and hi >= lo")
-    out = []
-    x = lo
-    while x <= hi:
-        out.append(x)
-        x += step
-    if out[-1] != hi:
-        out.append(hi)
-    return out

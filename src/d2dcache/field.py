@@ -231,12 +231,6 @@ class FieldMatrix:
             out.append(_unpack(acc, other.ncols, m))
         return FieldMatrix(self.spec, self.nrows, other.ncols, tuple(out))
 
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(
-            self.spec, self.ncols, self.nrows,
-            tuple(tuple(self.rows[i][j] for i in range(self.nrows)) for j in range(self.ncols)),
-        )
-
     def map_columns(self, col_map: Sequence[int], new_ncols: int) -> "FieldMatrix":
         """Scatter each column j to position col_map[j] in a wider matrix."""
         out = []
@@ -247,9 +241,6 @@ class FieldMatrix:
                     nr[col_map[j]] = self.spec.add(nr[col_map[j]], v)
             out.append(tuple(nr))
         return FieldMatrix(self.spec, self.nrows, new_ncols, tuple(out))
-
-    def row_set(self) -> frozenset:
-        return frozenset(self.rows)
 
     # Cached on the immutable matrix.  Only reused matrices, such as
     # placements, reach these: as a basis or as the right factor of matmul.

@@ -22,8 +22,6 @@ from .errors import ConfigurationError, InterchangeError
 from .field import FieldMatrix, FieldSpec, mat_rank
 from .model import Demand, LinearScheme, ModelKind, SenderSignal
 
-_MODEL_NAMES = {m.value: m for m in ModelKind}
-
 BUILTIN_PREFIX = "builtin:"
 
 _BUILTINS = {
@@ -101,9 +99,20 @@ def _require(doc: dict, key: str, kind) -> object:
     if key not in doc:
         raise InterchangeError("missing required field", field=key)
     value = doc[key]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
-        raise InterchangeError(f"expected an integer, got {value!r}", field=key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InterchangeError(f"expected {kind.__name__}, got {type(value).__name__}", field=key)
     return value
+
+
+def _matrix(spec: FieldSpec, rows: object, ncols: int, field: str) -> FieldMatrix:
+    """A document matrix: a list of rows of integer (not bool) entries."""
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(type(v) is int for v in row) for row in rows)):
+        raise InterchangeError("expected a list of rows of integers", field=field)
+    try:
+        return FieldMatrix.from_rows(spec, rows, ncols=ncols)
+    except ConfigurationError as exc:
+        raise InterchangeError(str(exc), field=field) from exc
 
 
 def _parse_demand(key: str, K: int) -> Demand:
@@ -119,9 +128,10 @@ def _parse_demand(key: str, K: int) -> Demand:
 
 def scheme_from_dict(doc: dict) -> LinearScheme:
     model_name = _require(doc, "model", str)
-    model = _MODEL_NAMES.get(model_name)
-    if model is None:
-        raise InterchangeError(f"unknown model {model_name!r}", field="model")
+    try:
+        model = ModelKind(model_name)
+    except ValueError as exc:
+        raise InterchangeError(f"unknown model {model_name!r}", field="model") from exc
     N = _require(doc, "N", int)
     K = _require(doc, "K", int)
     s = doc.get("s")
@@ -135,14 +145,11 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
         raise InterchangeError(str(exc), field="field_m") from exc
 
     placement_doc = _require(doc, "placement", list)
-    if not isinstance(placement_doc, list) or len(placement_doc) != K:
+    if len(placement_doc) != K:
         raise InterchangeError(f"placement must list {K} matrices", field="placement")
     placement = []
     for k, rows in enumerate(placement_doc, start=1):
-        try:
-            matrix = FieldMatrix.from_rows(spec, rows, ncols=N * L)
-        except (ConfigurationError, TypeError) as exc:
-            raise InterchangeError(str(exc), field=f"placement[{k}]") from exc
+        matrix = _matrix(spec, rows, N * L, f"placement[{k}]")
         if mat_rank(matrix) != matrix.nrows:
             # memory accounting is rows/L and only exact for full row rank
             raise InterchangeError(
@@ -152,8 +159,6 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
     placement = tuple(placement)
 
     delivery_doc = _require(doc, "delivery", dict)
-    if not isinstance(delivery_doc, dict):
-        raise InterchangeError("delivery must be an object", field="delivery")
     delivery: dict[Demand, dict[int, SenderSignal]] = {}
     for key, per_doc in delivery_doc.items():
         d = _parse_demand(key, K)
@@ -171,12 +176,7 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
                 raise InterchangeError(f"sender {sender} outside 1..{K}",
                                        field=f"delivery[{key}]")
             width = placement[sender - 1].nrows
-            try:
-                mat = (FieldMatrix.from_rows(spec, rows, ncols=width)
-                       if rows else FieldMatrix.empty(spec, width))
-            except (ConfigurationError, TypeError) as exc:
-                raise InterchangeError(str(exc), field=f"delivery[{key}][{sender}]") from exc
-            per[sender] = SenderSignal(mat)
+            per[sender] = SenderSignal(_matrix(spec, rows, width, f"delivery[{key}][{sender}]"))
         delivery[d] = per
 
     try:

@@ -3,8 +3,21 @@
 A scheme stores one placement matrix per user (rows are cached linear
 combinations of the N*L global subfile symbols) and, for every demand
 vector, one encoding matrix per sender mapping that sender's cache rows
-to transmitted rows.  Demands are 1-based file ids with 0 marking a
-non-requesting (sender) user.
+to transmitted rows.  Demands are 1-based file ids with 0 marking an
+idle (non-requesting) user.
+
+The delivery models differ only in how many users of a demand may be
+idle, and one rule says who sends: idle users send, and when nobody is
+idle every user sends.
+
+==============  ======  ==========  ===============  ====================
+model           K       s           idle per demand  senders
+==============  ======  ==========  ===============  ====================
+2rr1s           3       None or 1   1                the idle user
+traditional     any     None or 0   0                all users
+kuser           any     1..K-2      s                the s idle users
+request_random  3       any         0..3             idle users, or all
+==============  ======  ==========  ===============  ====================
 """
 
 from __future__ import annotations
@@ -13,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError
 from .field import FieldMatrix, FieldSpec
@@ -28,32 +41,27 @@ class ModelKind(str, Enum):
     REQUEST_RANDOM = "request_random"
 
 
-def model_params_ok(model: ModelKind, N: int, K: int, s: Optional[int]) -> None:
+# Per model: the K it requires (None: any), the values of s it accepts for a
+# given K, and the idle-user counts a demand may have for given K and s.
+_MODELS: dict[ModelKind, tuple[Optional[int], Callable, Callable]] = {
+    ModelKind.TWO_RR_ONE_S: (3, lambda K, s: s in (None, 1), lambda K, s: (1,)),
+    ModelKind.TRADITIONAL_D2D: (None, lambda K, s: s in (None, 0), lambda K, s: (0,)),
+    ModelKind.K_USER_S_SENDERS: (
+        None, lambda K, s: s is not None and 1 <= s <= K - 2, lambda K, s: (s,)),
+    ModelKind.REQUEST_RANDOM: (3, lambda K, s: True, lambda K, s: range(K + 1)),
+}
+
+
+def idle_counts(model: ModelKind, N: int, K: int, s: Optional[int]) -> Sequence[int]:
+    """Check the model parameters; return how many users a demand may leave idle."""
+    required_K, s_ok, idle = _MODELS[model]
     if N < 1:
         raise ConfigurationError("N must be positive")
-    if model is ModelKind.TWO_RR_ONE_S:
-        if K != 3 or (s not in (None, 1)):
-            raise ConfigurationError("two-requester/one-sender model requires K=3, s=1")
-    elif model is ModelKind.TRADITIONAL_D2D:
-        if s not in (None, 0):
-            raise ConfigurationError("traditional model has no designated senders")
-    elif model is ModelKind.K_USER_S_SENDERS:
-        if s is None or not 1 <= s <= K - 2:
-            raise ConfigurationError(f"kuser model requires 1 <= s <= K-2, got s={s}")
-    elif model is ModelKind.REQUEST_RANDOM:
-        if K != 3:
-            raise ConfigurationError("request-random model requires K=3")
-
-
-def demand_zero_pattern_ok(model: ModelKind, K: int, s: Optional[int], d: Demand) -> bool:
-    zeros = sum(1 for v in d if v == 0)
-    if model is ModelKind.TWO_RR_ONE_S:
-        return zeros == 1
-    if model is ModelKind.TRADITIONAL_D2D:
-        return zeros == 0
-    if model is ModelKind.K_USER_S_SENDERS:
-        return zeros == s
-    return True  # request-random: 0..K zeros
+    if required_K is not None and K != required_K:
+        raise ConfigurationError(f"{model.value} model requires K={required_K}, got K={K}")
+    if not s_ok(K, s):
+        raise ConfigurationError(f"{model.value} model does not accept s={s} for K={K}")
+    return idle(K, s)
 
 
 def requesters_of(d: Demand) -> tuple[int, ...]:
@@ -61,34 +69,25 @@ def requesters_of(d: Demand) -> tuple[int, ...]:
     return tuple(k + 1 for k, v in enumerate(d) if v != 0)
 
 
-def senders_of(model: ModelKind, d: Demand) -> tuple[int, ...]:
-    """1-based indices of users expected to transmit for demand d."""
-    if model is ModelKind.TRADITIONAL_D2D:
-        return tuple(range(1, len(d) + 1))
-    zeros = tuple(k + 1 for k, v in enumerate(d) if v == 0)
-    if model is ModelKind.REQUEST_RANDOM and not zeros:
-        return tuple(range(1, len(d) + 1))
-    return zeros
+def senders_of(d: Demand) -> tuple[int, ...]:
+    """1-based indices of the users that transmit for demand d.
+
+    Idle users send; when nobody is idle, every user sends.
+    """
+    idle = tuple(k + 1 for k, v in enumerate(d) if v == 0)
+    return idle or tuple(range(1, len(d) + 1))
 
 
 def enumerate_demands(model: ModelKind, N: int, K: int, s: Optional[int] = None) -> list[Demand]:
     """Deterministic lexicographic demand list for a model."""
-    model_params_ok(model, N, K, s)
-    files = range(1, N + 1)
-    if model is ModelKind.TRADITIONAL_D2D:
-        return sorted(itertools.product(files, repeat=K))
-    if model is ModelKind.REQUEST_RANDOM:
-        return sorted(itertools.product(range(N + 1), repeat=K))
-    zero_count = 1 if model is ModelKind.TWO_RR_ONE_S else s
     out = []
-    for zero_positions in itertools.combinations(range(K), zero_count):
-        for choice in itertools.product(files, repeat=K - zero_count):
-            d = [0] * K
-            it = iter(choice)
-            for i in range(K):
-                if i not in zero_positions:
-                    d[i] = next(it)
-            out.append(tuple(d))
+    for z in idle_counts(model, N, K, s):
+        for idle in itertools.combinations(range(K), z):
+            for files in itertools.product(range(1, N + 1), repeat=K - z):
+                d = list(files)
+                for i in idle:  # ascending, so each 0 lands at its final index
+                    d.insert(i, 0)
+                out.append(tuple(d))
     return sorted(out)
 
 
@@ -159,7 +158,7 @@ class LinearScheme:
     delivery: dict[Demand, dict[int, SenderSignal]]
 
     def __post_init__(self):
-        model_params_ok(self.model, self.N, self.K, self.s)
+        idle = idle_counts(self.model, self.N, self.K, self.s)
         if len(self.placement) != self.K:
             raise ConfigurationError("need one placement matrix per user")
         cols = self.symbol_count
@@ -169,11 +168,11 @@ class LinearScheme:
             if P.spec != self.field:
                 raise ConfigurationError(f"user {k} placement uses a different field")
         for d, per_sender in self.delivery.items():
-            if len(d) != self.K or not demand_zero_pattern_ok(self.model, self.K, self.s, d):
+            if len(d) != self.K or d.count(0) not in idle:
                 raise ConfigurationError(f"demand {d} has an invalid zero pattern")
             if any(not 0 <= v <= self.N for v in d):
                 raise ConfigurationError(f"demand {d} requests a file outside 1..{self.N}")
-            expected = set(senders_of(self.model, d))
+            expected = set(senders_of(d))
             if set(per_sender) != expected:
                 raise ConfigurationError(
                     f"demand {d}: senders {sorted(per_sender)} != expected {sorted(expected)}"

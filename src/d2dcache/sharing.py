@@ -81,7 +81,7 @@ def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearSchem
     delivery: dict[Demand, dict[int, SenderSignal]] = {}
     for d in demands:
         per_sender: dict[int, SenderSignal] = {}
-        for k in senders_of(first.model, d):
+        for k in senders_of(d):
             blocks = [sch.delivery[d][k] for sch in instances]
             widths = [sch.placement_rows(k) for sch in instances]
             total_w = sum(widths)
@@ -231,7 +231,7 @@ class SymmetrizedScheme:
 
     def delivery_row_counts(self, d: Demand) -> dict[int, int]:
         identity_fp = tuple(range(1, self.N + 1))
-        counts = {k: 0 for k in senders_of(self.model, d)}
+        counts = {k: 0 for k in senders_of(d)}
         for v in self._user_perms:
             moved = apply_demand_perm(d, v, identity_fp)
             pattern = _canonical_file_pattern(moved)
@@ -266,7 +266,7 @@ class SymmetrizedScheme:
 
     def transmitted_rows(self, d: Demand) -> dict[int, FieldMatrix]:
         total = self.N * self.L
-        blocks: dict[int, list[FieldMatrix]] = {k: [] for k in senders_of(self.model, d)}
+        blocks: dict[int, list[FieldMatrix]] = {k: [] for k in senders_of(d)}
         for idx, (up, fp) in enumerate(self.group):
             inv_up, inv_fp = _invert(up), _invert(fp)
             db = apply_demand_perm(d, inv_up, inv_fp)

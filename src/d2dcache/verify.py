@@ -13,12 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .field import FieldMatrix, RowSpan
+from .field import RowSpan
 from .model import (
     Demand,
-    LinearScheme,
     ModelKind,
     enumerate_demands,
+    idle_counts,
     requesters_of,
     symbol_col,
 )
@@ -107,14 +107,17 @@ class VerificationReport:
 
 
 def _recovery_groups(scheme) -> list[tuple[int, ...]]:
-    """User groups whose joint caches must span every symbol."""
+    """User groups whose joint caches must span every symbol.
+
+    A requester and the senders of its demand must jointly hold every
+    symbol: z+1 users when z are idle, all K when nobody is.  The smallest
+    such group over the model's idle counts is the strictest condition;
+    a demand with nobody requesting needs none.
+    """
     K = scheme.K
-    if scheme.model in (ModelKind.TWO_RR_ONE_S, ModelKind.REQUEST_RANDOM):
-        return [pair for pair in itertools.combinations(range(1, K + 1), 2)]
-    if scheme.model is ModelKind.TRADITIONAL_D2D:
-        return [tuple(range(1, K + 1))]
-    size = scheme.s + 1
-    return [g for g in itertools.combinations(range(1, K + 1), size)]
+    idle = idle_counts(scheme.model, scheme.N, K, scheme.s)
+    size = min(z + 1 if z else K for z in idle if z < K)
+    return list(itertools.combinations(range(1, K + 1), size))
 
 
 def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
@@ -202,18 +205,3 @@ def _file_decodable(span: RowSpan, N: int, L: int, file_id: int) -> bool:
     m = span.spec.m
     base = symbol_col(N, L, file_id, 1)
     return all(span.contains(1 << ((base + l) * m)) for l in range(L))
-
-
-def decodes_demand(scheme: LinearScheme, d: Demand, users: tuple[int, ...],
-                   signals: Optional[dict[int, FieldMatrix]] = None) -> bool:
-    """True when every listed user decodes its request under demand d."""
-    if signals is None:
-        signals = scheme.transmitted_rows(d)
-    for r in users:
-        span = RowSpan(scheme.field, scheme.symbol_count)
-        span.add_matrix(scheme.placement_matrix(r))
-        for mat in signals.values():
-            span.add_matrix(mat)
-        if not _file_decodable(span, scheme.N, scheme.L, d[r - 1]):
-            return False
-    return True

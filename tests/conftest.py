@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from d2dcache.catalog import (
@@ -6,6 +8,9 @@ from d2dcache.catalog import (
     build_kuser_scheme,
     build_traditional_scheme,
 )
+from d2dcache.errors import ConfigurationError
+from d2dcache.field import FieldMatrix, RowSpan
+from d2dcache.verify import _file_decodable
 
 TWO_RR_POINTS = (
     CornerPointId.FULL,
@@ -59,3 +64,47 @@ def catalog_2rr1s():
 @pytest.fixture(scope="session")
 def trad_scheme():
     return cached_traditional()
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+# ---------------------------------------------------------------------------
+
+def decodes_demand(scheme, d, users, signals=None):
+    """True when every listed user decodes its request under demand d."""
+    if signals is None:
+        signals = scheme.transmitted_rows(d)
+    for r in users:
+        span = RowSpan(scheme.field, scheme.symbol_count)
+        span.add_matrix(scheme.placement_matrix(r))
+        for mat in signals.values():
+            span.add_matrix(mat)
+        if not _file_decodable(span, scheme.N, scheme.L, d[r - 1]):
+            return False
+    return True
+
+
+def rational_grid(lo, hi, step):
+    """lo, lo+step, ... up to hi, with hi always the last point."""
+    lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
+    if step <= 0 or hi < lo:
+        raise ConfigurationError("need step > 0 and hi >= lo")
+    out = []
+    x = lo
+    while x <= hi:
+        out.append(x)
+        x += step
+    if out[-1] != hi:
+        out.append(hi)
+    return out
+
+
+def transpose(mat):
+    return FieldMatrix(
+        mat.spec, mat.ncols, mat.nrows,
+        tuple(tuple(mat.rows[i][j] for i in range(mat.nrows)) for j in range(mat.ncols)),
+    )
+
+
+def row_set(mat):
+    return frozenset(mat.rows)

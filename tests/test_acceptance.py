@@ -23,7 +23,7 @@ from d2dcache.bounds import (
     shipped_curve,
 )
 from d2dcache.catalog import CornerPointId, corner_value
-from d2dcache.curves import RatePoint, envelope, first_crossing, rational_grid
+from d2dcache.curves import RatePoint, envelope, first_crossing
 from d2dcache.field import FieldSpec, mds_generator, min_extension_degree
 from d2dcache.model import enumerate_demands, permute_scheme, requesters_of
 from d2dcache.sharing import symmetrize
@@ -35,6 +35,7 @@ from conftest import (
     cached_2rr1s,
     cached_kuser,
     cached_traditional,
+    rational_grid,
 )
 
 GRID_STEP = Fraction(1, 60)

@@ -15,10 +15,10 @@ from d2dcache.bounds import (
     TRADITIONAL_N2_LINES,
 )
 from d2dcache.catalog import CornerPointId, corner_value
-from d2dcache.curves import envelope, first_crossing, rational_grid
+from d2dcache.curves import envelope, first_crossing
 from d2dcache.errors import ConfigurationError, FeasibilityError, InterchangeError
 
-from conftest import TWO_RR_POINTS
+from conftest import TWO_RR_POINTS, rational_grid
 
 
 # ---------------------------------------------------------------------------

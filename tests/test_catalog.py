@@ -10,7 +10,7 @@ from d2dcache.errors import ConfigurationError, FeasibilityError
 from d2dcache.model import unit_row, xor_rows
 from d2dcache.verify import verify
 
-from conftest import TWO_RR_POINTS, cached_2rr1s, cached_kuser, cached_traditional
+from conftest import TWO_RR_POINTS, cached_2rr1s, cached_kuser, cached_traditional, row_set
 
 
 @pytest.mark.parametrize("point", TWO_RR_POINTS)
@@ -60,7 +60,7 @@ def test_half_rate_matches_printed_n2_layout():
         {A(2), B(2), A(3), B(3), x(A(5), A(6)), x(B(5), B(6)), x(A(6), B(5))},
     ]
     for k in range(1, 4):
-        assert scheme.placement_matrix(k).row_set() == frozenset(expected[k - 1])
+        assert row_set(scheme.placement_matrix(k)) == frozenset(expected[k - 1])
 
 
 def test_half_rate_matches_printed_n3_layout():
@@ -78,7 +78,7 @@ def test_half_rate_matches_printed_n3_layout():
          x(C(5), C(6)), x(A(6), B(5)), x(B(6), C(5))},
     ]
     for k in range(1, 4):
-        assert scheme.placement_matrix(k).row_set() == frozenset(expected[k - 1])
+        assert row_set(scheme.placement_matrix(k)) == frozenset(expected[k - 1])
         assert scheme.placement_matrix(k).nrows == 11
 
 

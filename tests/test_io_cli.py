@@ -53,33 +53,53 @@ def test_export_traditional_shape():
     assert set(doc["delivery"]["1,1,1"]) == {"1", "2", "3"}
 
 
+def _set_entry(rows, value):
+    rows[0][0] = value(rows[0][0])
+
+
+# (name, change to a valid mds-half N=2 document, text the error must hold)
+BAD_DOCUMENTS = [
+    ("missing-L", lambda doc: doc.pop("L"), "field: L"),
+    ("unknown-model", lambda doc: doc.update(model="unknown"), "field: model"),
+    ("model-list", lambda doc: doc.update(model=["2rr1s"]), "field: model"),
+    ("short-row", lambda doc: doc["placement"][0].__setitem__(0, [9, 9]), "placement[1]"),
+    ("float-entry", lambda doc: _set_entry(doc["placement"][0], lambda v: v + 0.9),
+     "field: placement[1]"),
+    ("bool-entry", lambda doc: _set_entry(doc["delivery"]["0,1,1"]["1"], bool),
+     "field: delivery[0,1,1][1]"),
+    ("string-entry", lambda doc: _set_entry(doc["delivery"]["0,1,1"]["1"], lambda v: "one"),
+     "field: delivery[0,1,1][1]"),
+    ("file-outside-N",
+     lambda doc: doc["delivery"].__setitem__("0,9,1", doc["delivery"].pop("0,1,1")),
+     "outside 1..2"),
+]
+
+
+def _bad_document(change):
+    doc = scheme_to_dict(cached_2rr1s(CornerPointId.MDS_HALF, 2))
+    change(doc)
+    return json.dumps(doc)
+
+
 def test_loader_names_bad_fields():
-    doc = scheme_to_dict(cached_2rr1s(CornerPointId.MDS_HALF, 2))
-    doc.pop("L")
-    with pytest.raises(InterchangeError) as err:
-        load_scheme_text(json.dumps(doc))
-    assert "field: L" in str(err.value)
-
-    doc = scheme_to_dict(cached_2rr1s(CornerPointId.MDS_HALF, 2))
-    doc["model"] = "unknown"
-    with pytest.raises(InterchangeError) as err:
-        load_scheme_text(json.dumps(doc))
-    assert "field: model" in str(err.value)
-
-    doc = scheme_to_dict(cached_2rr1s(CornerPointId.MDS_HALF, 2))
-    doc["placement"][0][0] = [9, 9]
-    with pytest.raises(InterchangeError) as err:
-        load_scheme_text(json.dumps(doc))
-    assert "placement[1]" in str(err.value)
+    for _, change, expected in BAD_DOCUMENTS:
+        with pytest.raises(InterchangeError) as err:
+            load_scheme_text(_bad_document(change))
+        assert expected in str(err.value)
 
     with pytest.raises(InterchangeError):
         load_scheme_text("not json")
 
-    doc = scheme_to_dict(cached_2rr1s(CornerPointId.MDS_HALF, 2))
-    doc["delivery"]["0,9,1"] = doc["delivery"].pop("0,1,1")
-    with pytest.raises(InterchangeError) as err:
-        load_scheme_text(json.dumps(doc))
-    assert "outside 1..2" in str(err.value)
+
+@pytest.mark.parametrize("change,expected", [c[1:] for c in BAD_DOCUMENTS],
+                         ids=[c[0] for c in BAD_DOCUMENTS])
+def test_cli_verify_rejects_bad_document(tmp_path, capsys, change, expected):
+    path = tmp_path / "bad.json"
+    path.write_text(_bad_document(change))
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert expected in err
 
 
 def test_loader_rejects_rank_deficient_placement():
@@ -117,7 +137,7 @@ def test_random_schemes_round_trip(tmp_path):
         delivery = {}
         for d in enumerate_demands(ModelKind.TWO_RR_ONE_S, N, 3, 1):
             delivery[d] = {}
-            for k in senders_of(ModelKind.TWO_RR_ONE_S, d):
+            for k in senders_of(d):
                 width = placement[k - 1].nrows
                 rows = [[rng.randrange(spec.size) for _ in range(width)]
                         for _ in range(rng.randint(0, 2))]

@@ -1,7 +1,9 @@
 """Scheme model: demand enumeration, verification, sharing, permutation."""
 
+import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,9 +21,9 @@ from d2dcache.model import (
     unit_row,
 )
 from d2dcache.sharing import memory_share, symmetrize
-from d2dcache.verify import decodes_demand, verify
+from d2dcache.verify import _recovery_groups, verify
 
-from conftest import cached_2rr1s, cached_kuser, cached_traditional
+from conftest import cached_2rr1s, cached_kuser, cached_traditional, decodes_demand, row_set
 
 
 # ---------------------------------------------------------------------------
@@ -43,19 +45,92 @@ def test_demand_order_and_patterns():
 
 
 def test_senders_and_requesters():
-    assert senders_of(ModelKind.TWO_RR_ONE_S, (0, 2, 1)) == (1,)
-    assert senders_of(ModelKind.TRADITIONAL_D2D, (1, 2, 1)) == (1, 2, 3)
-    assert senders_of(ModelKind.K_USER_S_SENDERS, (1, 0, 2, 0)) == (2, 4)
-    assert senders_of(ModelKind.REQUEST_RANDOM, (1, 1, 1)) == (1, 2, 3)
-    assert senders_of(ModelKind.REQUEST_RANDOM, (0, 0, 0)) == (1, 2, 3)
+    assert senders_of((0, 2, 1)) == (1,)
+    assert senders_of((1, 2, 1)) == (1, 2, 3)
+    assert senders_of((1, 0, 2, 0)) == (2, 4)
+    assert senders_of((1, 1, 1)) == (1, 2, 3)
+    assert senders_of((0, 0, 0)) == (1, 2, 3)
     assert requesters_of((0, 2, 1)) == (2, 3)
 
 
 def test_inconsistent_parameters_rejected():
-    with pytest.raises(ConfigurationError):
-        enumerate_demands(ModelKind.TWO_RR_ONE_S, 2, 4, 1)
-    with pytest.raises(ConfigurationError):
-        enumerate_demands(ModelKind.K_USER_S_SENDERS, 2, 3, 2)
+    for model, N, K, s in [
+        (ModelKind.TWO_RR_ONE_S, 2, 4, 1),
+        (ModelKind.K_USER_S_SENDERS, 2, 3, 2),
+        (ModelKind.TRADITIONAL_D2D, 2, 3, 1),
+        (ModelKind.K_USER_S_SENDERS, 2, 4, None),
+        (ModelKind.REQUEST_RANDOM, 2, 4, None),
+        (ModelKind.TWO_RR_ONE_S, 0, 3, 1),
+    ]:
+        with pytest.raises(ConfigurationError):
+            enumerate_demands(model, N, K, s)
+
+
+# The per-model rules as they were written before the model table, kept
+# here as the reference the table must reproduce.
+
+def _reference_params_ok(model, N, K, s):
+    if N < 1:
+        return False
+    if model is ModelKind.TWO_RR_ONE_S:
+        return K == 3 and s in (None, 1)
+    if model is ModelKind.TRADITIONAL_D2D:
+        return s in (None, 0)
+    if model is ModelKind.K_USER_S_SENDERS:
+        return s is not None and 1 <= s <= K - 2
+    return K == 3
+
+
+def _reference_zero_pattern_ok(model, s, d):
+    zeros = d.count(0)
+    if model is ModelKind.TWO_RR_ONE_S:
+        return zeros == 1
+    if model is ModelKind.TRADITIONAL_D2D:
+        return zeros == 0
+    if model is ModelKind.K_USER_S_SENDERS:
+        return zeros == s
+    return True
+
+
+def _reference_senders(model, d):
+    if model is ModelKind.TRADITIONAL_D2D:
+        return tuple(range(1, len(d) + 1))
+    zeros = tuple(k + 1 for k, v in enumerate(d) if v == 0)
+    if model is ModelKind.REQUEST_RANDOM and not zeros:
+        return tuple(range(1, len(d) + 1))
+    return zeros
+
+
+def _reference_recovery_groups(model, K, s):
+    users = range(1, K + 1)
+    if model in (ModelKind.TWO_RR_ONE_S, ModelKind.REQUEST_RANDOM):
+        return list(itertools.combinations(users, 2))
+    if model is ModelKind.TRADITIONAL_D2D:
+        return [tuple(users)]
+    return list(itertools.combinations(users, s + 1))
+
+
+def test_model_table_matches_reference_rules():
+    checked = 0
+    for model in ModelKind:
+        for N in range(4):
+            for K in range(1, 6):
+                for s in (None, *range(K + 1)):
+                    if not _reference_params_ok(model, N, K, s):
+                        with pytest.raises(ConfigurationError):
+                            enumerate_demands(model, N, K, s)
+                        continue
+                    demands = enumerate_demands(model, N, K, s)
+                    assert demands == sorted(
+                        d for d in itertools.product(range(N + 1), repeat=K)
+                        if _reference_zero_pattern_ok(model, s, d)
+                    ), (model, N, K, s)
+                    for d in demands:
+                        assert senders_of(d) == _reference_senders(model, d), (model, d)
+                    scheme = SimpleNamespace(model=model, N=N, K=K, s=s)
+                    assert _recovery_groups(scheme) == _reference_recovery_groups(model, K, s)
+                    checked += 1
+    assert checked > 50
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +171,7 @@ def test_redundant_placement_row_fails_full_rank():
     P = FieldMatrix.from_rows(GF2, rows)
     placement = (P, P, P)
     delivery = {
-        d: {k: SenderSignal(FieldMatrix.empty(GF2, 3)) for k in senders_of(ModelKind.TWO_RR_ONE_S, d)}
+        d: {k: SenderSignal(FieldMatrix.empty(GF2, 3)) for k in senders_of(d)}
         for d in enumerate_demands(ModelKind.TWO_RR_ONE_S, N, 3, 1)
     }
     scheme = LinearScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, delivery)
@@ -153,7 +228,7 @@ def test_verifier_agrees_with_information_theoretic_oracle():
         )
         delivery = {}
         for d in demands:
-            sender = senders_of(ModelKind.TWO_RR_ONE_S, d)[0]
+            sender = senders_of(d)[0]
             width = placement[sender - 1].nrows
             delivery[d] = {
                 sender: SenderSignal(FieldMatrix.from_rows(
@@ -189,7 +264,7 @@ def test_deleting_rows_never_helps_decoding():
         )
         delivery = {}
         for d in demands:
-            sender = senders_of(ModelKind.TWO_RR_ONE_S, d)[0]
+            sender = senders_of(d)[0]
             delivery[d] = {
                 sender: SenderSignal(FieldMatrix.from_rows(
                     GF2, [[rng.randrange(2) for _ in range(3)] for _ in range(2)]
@@ -197,7 +272,7 @@ def test_deleting_rows_never_helps_decoding():
             }
         scheme = LinearScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, delivery)
         d = rng.choice(demands)
-        sender = senders_of(ModelKind.TWO_RR_ONE_S, d)[0]
+        sender = senders_of(d)[0]
         full_ok = decodes_demand(scheme, d, requesters_of(d))
         sig = scheme.delivery[d][sender]
         for drop in range(sig.matrix.nrows):
@@ -315,7 +390,7 @@ def test_file_transposition_fixes_file_symmetric_placement():
     scheme = cached_2rr1s(CornerPointId.MDS_HALF, 3)
     swapped = permute_scheme(scheme, (1, 2, 3), (2, 1, 3))
     for k in range(1, 4):
-        assert swapped.placement_matrix(k).row_set() == scheme.placement_matrix(k).row_set()
+        assert row_set(swapped.placement_matrix(k)) == row_set(scheme.placement_matrix(k))
 
 
 # ---------------------------------------------------------------------------
