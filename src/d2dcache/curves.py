@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -9,9 +10,22 @@ from typing import Iterable, Optional
 from .errors import ConfigurationError, FeasibilityError
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Exact rational from 'p/q' or an integer literal."""
-    return Fraction(text.strip())
+    """Exact rational from 'p/q' or an integer literal; ValueError for anything else.
+
+    Decimal and exponent forms are refused before any Fraction is built:
+    '1e999999999' would otherwise compute 10**999999999.
+    """
+    text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"{text!r} is not an integer or p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"{text!r} has a zero denominator") from exc
 
 
 @dataclass(frozen=True)

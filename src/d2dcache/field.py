@@ -219,7 +219,7 @@ class FieldMatrix:
             raise ConfigurationError("dimension mismatch in matrix product")
         m = self.spec.m
         images = other._images
-        out = []
+        packed = []
         for row in self.rows:
             # v * (row k) is the XOR of the images of x^i * (row k) over the set bits i of v
             acc = 0
@@ -228,8 +228,11 @@ class FieldMatrix:
                     for i, image in enumerate(lifted):
                         if v >> i & 1:
                             acc ^= image
-            out.append(_unpack(acc, other.ncols, m))
-        return FieldMatrix(self.spec, self.nrows, other.ncols, tuple(out))
+            packed.append(acc)
+        product = FieldMatrix(self.spec, self.nrows, other.ncols,
+                              tuple(_unpack(acc, other.ncols, m) for acc in packed))
+        object.__setattr__(product, "_packed", tuple(packed))  # fills the cached property
+        return product
 
     def map_columns(self, col_map: Sequence[int], new_ncols: int) -> "FieldMatrix":
         """Scatter each column j to position col_map[j] in a wider matrix."""
@@ -242,14 +245,20 @@ class FieldMatrix:
             out.append(tuple(nr))
         return FieldMatrix(self.spec, self.nrows, new_ncols, tuple(out))
 
-    # Cached on the immutable matrix.  Only reused matrices, such as
-    # placements, reach these: as a basis or as the right factor of matmul.
+    # Cached on the immutable matrix.  A product gets `_packed` from matmul;
+    # only reused matrices, such as placements, reach the other two: as a
+    # basis or as the right factor of matmul.
+
+    @functools.cached_property
+    def _packed(self) -> tuple[int, ...]:
+        """The binary image of each row."""
+        return tuple(_pack(r, self.spec.m) for r in self.rows)
 
     @functools.cached_property
     def _images(self) -> list[list[int]]:
         """Per row, the binary images of x^i * row for i < m."""
         span = RowSpan(self.spec, self.ncols)
-        return [span._lift(span._image(r)) for r in self.rows]
+        return [span._lift(image) for image in self._packed]
 
     @functools.cached_property
     def _echelon(self) -> "RowSpan":
@@ -261,6 +270,15 @@ class FieldMatrix:
                 span._insert(image | tag)
                 tag <<= 1
         return span
+
+
+def _pack(row: Sequence[int], m: int) -> int:
+    """Binary image of a row: entry j in bits [j*m, (j+1)*m)."""
+    mask = 0
+    for shift, v in zip(range(0, len(row) * m, m), row):
+        if v:
+            mask |= v << shift
+    return mask
 
 
 def _unpack(mask: int, n: int, m: int) -> tuple[int, ...]:
@@ -305,14 +323,7 @@ class RowSpan:
 
     def _image(self, row) -> int:
         """Binary image of a row; an int is taken to be an image already."""
-        if isinstance(row, int):
-            return row
-        m = self.spec.m
-        mask = 0
-        for shift, v in zip(range(0, len(row) * m, m), row):
-            if v:
-                mask |= v << shift
-        return mask
+        return row if isinstance(row, int) else _pack(row, self.spec.m)
 
     def _lift(self, mask: int) -> list[int]:
         """The images of x^i * row for i < m, from the image of row."""
@@ -355,8 +366,8 @@ class RowSpan:
         return True
 
     def add_matrix(self, matrix: FieldMatrix) -> None:
-        for r in matrix.rows:
-            self.add(r)
+        for image in matrix._packed:
+            self.add(image)
 
     def add_span(self, other: "RowSpan") -> None:
         """Insert every row of another span that has no coefficient masks."""

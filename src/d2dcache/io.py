@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from . import catalog
 from .errors import ConfigurationError, InterchangeError
-from .field import FieldMatrix, FieldSpec, mat_rank
+from .field import _EXHAUSTIVE_CHECK_LIMIT, FieldMatrix, FieldSpec, mat_rank
 from .model import Demand, LinearScheme, ModelKind, SenderSignal
 
 BUILTIN_PREFIX = "builtin:"
@@ -116,10 +116,19 @@ def _matrix(spec: FieldSpec, rows: object, ncols: int, field: str) -> FieldMatri
 
 
 def _parse_demand(key: str, K: int) -> Demand:
+    """The demand a key names.
+
+    Only the canonical spelling "d1,...,dK" is accepted, so no two keys can
+    name one demand.
+    """
     try:
         d = tuple(int(v) for v in key.split(","))
     except ValueError as exc:
         raise InterchangeError(f"bad demand key {key!r}", field="delivery") from exc
+    canonical = ",".join(str(v) for v in d)
+    if key != canonical:
+        raise InterchangeError(f"demand key {key!r} is not written as {canonical!r}",
+                               field="delivery")
     if len(d) != K:
         raise InterchangeError(f"demand key {key!r} has {len(d)} entries, expected {K}",
                                field="delivery")
@@ -139,6 +148,10 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
         raise InterchangeError(f"expected an integer or null, got {s!r}", field="s")
     L = _require(doc, "L", int)
     field_m = _require(doc, "field_m", int)
+    if not 1 <= field_m <= _EXHAUSTIVE_CHECK_LIMIT:
+        # larger degrees make finding a modulus and the field tables exponential
+        raise InterchangeError(f"field_m must lie in 1..{_EXHAUSTIVE_CHECK_LIMIT}, got {field_m}",
+                               field="field_m")
     try:
         spec = FieldSpec(field_m)
     except ConfigurationError as exc:
@@ -172,6 +185,9 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
             except ValueError as exc:
                 raise InterchangeError(f"bad sender key {sender_key!r}",
                                        field=f"delivery[{key}]") from exc
+            if sender_key != str(sender):
+                raise InterchangeError(f"sender key {sender_key!r} is not written as "
+                                       f"{str(sender)!r}", field=f"delivery[{key}]")
             if not 1 <= sender <= K:
                 raise InterchangeError(f"sender {sender} outside 1..{K}",
                                        field=f"delivery[{key}]")
@@ -185,9 +201,19 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
         raise InterchangeError(str(exc), field="scheme") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object whose keys all differ; json.loads would keep only the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InterchangeError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_scheme_text(text: str) -> LinearScheme:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InterchangeError(f"not valid JSON: {exc}", line=exc.lineno) from exc
     if not isinstance(doc, dict):

@@ -78,6 +78,24 @@ def senders_of(d: Demand) -> tuple[int, ...]:
     return idle or tuple(range(1, len(d) + 1))
 
 
+def canonical_file_pattern(d: Demand) -> Demand:
+    """Renumber files by first appearance; zeros are preserved.
+
+    Two demands share a pattern iff a relabelling of the files maps one
+    onto the other.
+    """
+    relabel: dict[int, int] = {}
+    out = []
+    for v in d:
+        if v == 0:
+            out.append(0)
+        else:
+            if v not in relabel:
+                relabel[v] = len(relabel) + 1
+            out.append(relabel[v])
+    return tuple(out)
+
+
 def enumerate_demands(model: ModelKind, N: int, K: int, s: Optional[int] = None) -> list[Demand]:
     """Deterministic lexicographic demand list for a model."""
     out = []

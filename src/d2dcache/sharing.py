@@ -21,6 +21,7 @@ from .model import (
     LinearScheme,
     SenderSignal,
     apply_demand_perm,
+    canonical_file_pattern,
     enumerate_demands,
     permute_scheme,
     senders_of,
@@ -141,20 +142,6 @@ def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def _canonical_file_pattern(d: Demand) -> Demand:
-    """Renumber files by first appearance; zeros are preserved."""
-    relabel: dict[int, int] = {}
-    out = []
-    for v in d:
-        if v == 0:
-            out.append(0)
-        else:
-            if v not in relabel:
-                relabel[v] = len(relabel) + 1
-            out.append(relabel[v])
-    return tuple(out)
-
-
 class SymmetrizedScheme:
     """Space-sharing of every jointly permuted copy of a base scheme.
 
@@ -234,7 +221,7 @@ class SymmetrizedScheme:
         counts = {k: 0 for k in senders_of(d)}
         for v in self._user_perms:
             moved = apply_demand_perm(d, v, identity_fp)
-            pattern = _canonical_file_pattern(moved)
+            pattern = canonical_file_pattern(moved)
             for j in counts:
                 counts[j] += self._relabel_sum(pattern, v[j - 1])
         return counts

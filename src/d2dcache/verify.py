@@ -1,9 +1,23 @@
 """Decodability verification and exact memory/rate accounting.
 
-Every demand in the model's enumeration is checked: a requester decodes
+Every demand in the model's enumeration is decided: a requester decodes
 its file iff every unit selector row of that file lies in the row space
 of its own cache stacked with all transmitted rows.  Rates count
-transmitted rows (duplicates included) divided by the subpacketization.
+transmitted rows (duplicates included) divided by the subpacketization,
+for every demand.
+
+Demands are decided once per file-relabelling orbit when the placement
+allows it.  A file permutation pi moves symbol (n, l) to (pi(n), l).  If
+every user's cache row space is invariant under the transposition (1 2)
+and the N-cycle, which generate S_N, it is invariant under every pi.
+Demands with the same first-appearance file pattern form one orbit, and
+the first one met gets the full check.  A later demand d = pi(rep) reuses
+that verdict only when its transmitted rows, as a multiset, are exactly
+the pi-images of the representative's.  Then the cache spans, the
+transmitted span and the requested unit selectors all move under the same
+pi, so each requester decodes iff it did for the representative.  Any
+other demand, and every demand of a scheme that fails the invariance
+test, gets the full check.
 """
 
 from __future__ import annotations
@@ -11,12 +25,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
-from .field import RowSpan
+from .field import FieldMatrix, RowSpan
 from .model import (
     Demand,
     ModelKind,
+    canonical_file_pattern,
     enumerate_demands,
     idle_counts,
     requesters_of,
@@ -139,10 +154,12 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
     placement_full_rank: Optional[bool] = None
     joint_recovery: Optional[bool] = None
     user_spans: dict[int, RowSpan] = {}
+    orbits: Optional[dict[Demand, tuple]] = None
+    block = L * scheme.field.m  # bits of one file in a binary image
     if check_decodability:
+        placements = {k: scheme.placement_matrix(k) for k in range(1, K + 1)}
         placement_full_rank = True
-        for k in range(1, K + 1):
-            P = scheme.placement_matrix(k)
+        for k, P in placements.items():
             span = RowSpan(scheme.field, P.ncols)
             span.add_matrix(P)
             user_spans[k] = span
@@ -153,10 +170,12 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
         for group in _recovery_groups(scheme):
             span = user_spans[group[0]].copy()
             for k in group[1:]:
-                span.add_matrix(scheme.placement_matrix(k))
+                span.add_matrix(placements[k])
             if span.rank != total:
                 joint_recovery = False
                 break
+        if N > 1 and _file_symmetric(placements, user_spans, N, block):
+            orbits = {}  # pattern -> (representative, its sorted row images, its verdict)
 
     entries = []
     worst = Fraction(0)
@@ -170,17 +189,17 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
         decodable: Optional[bool] = None
         failed: tuple[int, ...] = ()
         if check_decodability:
-            sent = RowSpan(scheme.field, scheme.symbol_count)
-            for mat in scheme.transmitted_rows(d).values():
-                sent.add_matrix(mat)
-            bad = []
-            for r in requesters_of(d):
-                span = user_spans[r].copy()
-                span.add_span(sent)
-                if not _file_decodable(span, N, L, d[r - 1]):
-                    bad.append(r)
-            decodable = not bad
-            failed = tuple(bad)
+            sent = scheme.transmitted_rows(d).values()
+            verdict = None
+            if orbits is not None:
+                images = sorted(image for mat in sent for image in mat._packed)
+                pattern = canonical_file_pattern(d)
+                verdict = _reused_verdict(orbits.get(pattern), d, images, N, block)
+            if verdict is None:
+                verdict = _decide(scheme, user_spans, d, sent)
+                if orbits is not None:
+                    orbits.setdefault(pattern, (d, images, verdict))
+            decodable, failed = verdict
         entries.append(DemandReport(d, rate, sender_rows, decodable, failed))
 
     return VerificationReport(
@@ -198,6 +217,74 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
         demand_coverage=demand_coverage,
         encoding_clean=scheme.encoding_clean,
     )
+
+
+def _decide(scheme, user_spans: dict[int, RowSpan], d: Demand,
+            sent: Iterable[FieldMatrix]) -> tuple[bool, tuple[int, ...]]:
+    """Full check of one demand: (every requester decodes, the requesters that fail)."""
+    span_of_sent = RowSpan(scheme.field, scheme.symbol_count)
+    for mat in sent:
+        span_of_sent.add_matrix(mat)
+    failed = []
+    for r in requesters_of(d):
+        span = user_spans[r].copy()
+        span.add_span(span_of_sent)
+        if not _file_decodable(span, scheme.N, scheme.L, d[r - 1]):
+            failed.append(r)
+    return not failed, tuple(failed)
+
+
+def _move_files(image: int, perm: Sequence[int], block: int) -> int:
+    """A binary image with the block of file n moved to block perm[n] (0-based)."""
+    lane = (1 << block) - 1
+    out = 0
+    for n, target in enumerate(perm):
+        out |= (image >> n * block & lane) << target * block
+    return out
+
+
+def _file_symmetric(placements: dict[int, FieldMatrix], user_spans: dict[int, RowSpan],
+                    N: int, block: int) -> bool:
+    """True when every user's cache row space is invariant under every file permutation.
+
+    The transposition (1 2) and the N-cycle generate S_N, so it suffices
+    that each of them maps every cache row back into its user's span.
+    """
+    generators = dict.fromkeys([(1, 0, *range(2, N)), (*range(1, N), 0)])
+    return all(
+        user_spans[k].contains(_move_files(image, perm, block))
+        for k, P in placements.items()
+        for perm in generators
+        for image in P._packed
+    )
+
+
+def _reused_verdict(seen: Optional[tuple], d: Demand, images: list[int], N: int,
+                    block: int) -> Optional[tuple[bool, tuple[int, ...]]]:
+    """The orbit representative's verdict, if d's rows are exactly its rows relabelled.
+
+    None when the orbit has no representative yet or the sorted row images
+    differ.
+    """
+    if seen is None:
+        return None
+    rep, rep_images, verdict = seen
+    perm = _relabelling(rep, d, N)
+    return verdict if images == sorted(_move_files(i, perm, block) for i in rep_images) else None
+
+
+def _relabelling(rep: Demand, d: Demand, N: int) -> list[int]:
+    """A 0-based file permutation pi with d = pi(rep), entry by entry.
+
+    Files that rep does not request go to the files d does not request,
+    both in ascending order.
+    """
+    perm: list[Optional[int]] = [None] * N
+    for a, b in zip(rep, d):
+        if a:
+            perm[a - 1] = b - 1
+    spare = iter(sorted(set(range(N)).difference(perm)))
+    return [next(spare) if p is None else p for p in perm]
 
 
 def _file_decodable(span: RowSpan, N: int, L: int, file_id: int) -> bool:

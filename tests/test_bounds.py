@@ -195,6 +195,28 @@ def test_malformed_curve_errors_carry_line_numbers(tmp_path):
     assert "line 1" in str(err.value)
 
 
+def test_curve_entries_must_be_integers_or_p_q(tmp_path, monkeypatch):
+    import d2dcache.curves as curves
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    assert curves.parse_fraction(" -3/4 ") == Fraction(-3, 4)
+    assert curves.parse_fraction("+2") == 2
+    monkeypatch.setattr(curves, "Fraction", no_fraction)
+    for text in ("1e999999999", "1.5", "0x10", "1_0", "3/", "/2", "1/2/3", ""):
+        with pytest.raises(ValueError):
+            curves.parse_fraction(text)
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        curves.parse_fraction("1/0")
+    bad = tmp_path / "exponent.curve"
+    bad.write_text("2, 0\n1e999999999, 1\n")
+    with pytest.raises(InterchangeError) as err:
+        load_external_curve(bad)
+    assert "line 2" in str(err.value)
+
+
 def test_missing_file_and_empty_file(tmp_path):
     with pytest.raises(InterchangeError):
         load_external_curve(tmp_path / "absent.curve")

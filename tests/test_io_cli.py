@@ -72,6 +72,23 @@ BAD_DOCUMENTS = [
     ("file-outside-N",
      lambda doc: doc["delivery"].__setitem__("0,9,1", doc["delivery"].pop("0,1,1")),
      "outside 1..2"),
+    # a second spelling of a demand or sender would silently replace the first's delivery
+    ("aliased-demand-key",
+     lambda doc: doc["delivery"].__setitem__("00,1,1", doc["delivery"]["0,1,1"]),
+     "field: delivery"),
+    ("spaced-demand-key",
+     lambda doc: doc["delivery"].__setitem__("0, 1,1", doc["delivery"].pop("0,1,1")),
+     "field: delivery"),
+    ("aliased-sender-key",
+     lambda doc: doc["delivery"]["0,1,1"].__setitem__("01", doc["delivery"]["0,1,1"].pop("1")),
+     "field: delivery[0,1,1]"),
+    ("spaced-sender-key",
+     lambda doc: doc["delivery"]["0,1,1"].__setitem__(" 1", doc["delivery"]["0,1,1"].pop("1")),
+     "field: delivery[0,1,1]"),
+    # degrees outside 1..16 are refused before any field is built
+    ("field-m-zero", lambda doc: doc.update(field_m=0), "field: field_m"),
+    ("field-m-17", lambda doc: doc.update(field_m=17), "field: field_m"),
+    ("field-m-huge", lambda doc: doc.update(field_m=10 ** 6), "field: field_m"),
 ]
 
 
@@ -89,6 +106,11 @@ def test_loader_names_bad_fields():
 
     with pytest.raises(InterchangeError):
         load_scheme_text("not json")
+
+    text = _bad_document(lambda doc: None)
+    with pytest.raises(InterchangeError) as err:
+        load_scheme_text(text.replace('"0,1,1": ', '"0,1,1": {"1": []}, "0,1,1": ', 1))
+    assert "duplicate key '0,1,1'" in str(err.value)
 
 
 @pytest.mark.parametrize("change,expected", [c[1:] for c in BAD_DOCUMENTS],
@@ -266,6 +288,12 @@ def test_cli_sweep_with_baseline_column(tmp_path, capsys):
 
 def test_cli_sweep_infeasible_range(capsys):
     assert main(["sweep", "--model", "2rr1s", "--N", "4", "--M-min", "1"]) == 1
+
+
+@pytest.mark.parametrize("value", ["1e999999999", "2.5", "1/0"])
+def test_cli_rejects_a_bound_that_is_not_an_integer_or_p_q(capsys, value):
+    assert main(["sweep", "--model", "2rr1s", "--N", "4", "--M-min", value]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_rr_compare(tmp_path, capsys):
