@@ -16,7 +16,7 @@ from math import comb
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import ConfigurationError
-from .field import FieldMatrix, RowSpan, solve_in_rowspace
+from .field import FieldMatrix, RowSpan
 from .model import (
     Demand,
     LinearScheme,
@@ -48,12 +48,16 @@ def _part_maps(N: int, L: int) -> tuple[list[int], list[int]]:
     return amap, bmap
 
 
-def _interleaved_coeffs(coeffs: Sequence[int], part: int) -> tuple[int, ...]:
-    """Encoding row over [r1^a, r1^b, r2^a, r2^b, ...] from base coefficients."""
-    out = [0] * (2 * len(coeffs))
-    for j, c in enumerate(coeffs):
-        out[2 * j + part] = c
-    return tuple(out)
+def _coeff_maps(n: int) -> tuple[list[int], list[int]]:
+    """Column maps from base cache row j onto r_j^a / r_j^b of [r1^a, r1^b, r2^a, ...]."""
+    return [2 * j for j in range(n)], [2 * j + 1 for j in range(n)]
+
+
+def _interleaved(mat: FieldMatrix, maps: tuple[list[int], list[int]], ncols: int) -> FieldMatrix:
+    """Each row of mat mapped onto part a, followed by the same row mapped onto part b."""
+    a, b = (mat.map_columns(cmap, ncols).images for cmap in maps)
+    images = tuple(image for pair in zip(a, b) for image in pair)
+    return FieldMatrix(mat.spec, len(images), ncols, images)
 
 
 def _require_clean_base(base: LinearScheme) -> None:
@@ -82,15 +86,8 @@ def rotate_2rr1s(base: LinearScheme, *, _skip_base_check: bool = False) -> Linea
     amap, bmap = _part_maps(N, L)
     cols2 = N * L2
 
-    placement = []
-    for k in range(1, 4):
-        P = base.placement_matrix(k)
-        rows = []
-        for r in P.rows:
-            rows.append(FieldMatrix(spec, 1, N * L, (r,)).map_columns(amap, cols2).rows[0])
-            rows.append(FieldMatrix(spec, 1, N * L, (r,)).map_columns(bmap, cols2).rows[0])
-        placement.append(FieldMatrix(spec, len(rows), cols2, tuple(rows)))
-    placement = tuple(placement)
+    placement = tuple(_interleaved(base.placement_matrix(k), (amap, bmap), cols2)
+                      for k in range(1, 4))
 
     delivery = {}
     for d in enumerate_demands(ModelKind.TRADITIONAL_D2D, N, 3, 0):
@@ -110,13 +107,16 @@ def _rotated_signal(base: LinearScheme, new_P: FieldMatrix, d: Demand, sender: i
     base_P = base.placement_matrix(sender)
     spec = base.field
     cols2 = new_P.ncols
+    parts = [sig.matrix.map_columns(cmap, new_P.nrows).images
+             for cmap in _coeff_maps(sig.matrix.ncols)]
+    # user 2 splits a mixed row by file: requested-by-user-1 entries ride part a
+    split = [a if j // base.L + 1 == d1 else b for j, (a, b) in enumerate(zip(amap, bmap))]
 
-    coeff_rows: list[tuple[int, ...]] = []
+    coeff_images: list[int] = []
     serves_out: list[Optional[tuple[int, ...]]] = []
-    raw_rows: list[tuple[int, ...]] = []
+    raw_images: list[int] = []
 
-    for i in range(sig.matrix.nrows):
-        coeffs = sig.matrix.rows[i]
+    for i, coeffs in enumerate(sig.matrix.images):
         tags = sig.serves[i] if sig.serves is not None else None
         if sender == 1:
             part = 0
@@ -129,27 +129,20 @@ def _rotated_signal(base: LinearScheme, new_P: FieldMatrix, d: Demand, sender: i
         else:
             part = None
         if part is not None:
-            coeff_rows.append(_interleaved_coeffs(coeffs, part))
+            coeff_images.append(parts[part][i])
             serves_out.append(tags)
             continue
-        # user 2 splits by file: requested-by-user-1 entries ride part a
-        symbol = FieldMatrix(spec, 1, base_P.nrows, (coeffs,)).matmul(base_P).rows[0]
-        mixed = [0] * cols2
-        for j, v in enumerate(symbol):
-            if v:
-                n = j // base.L + 1
-                target = amap[j] if n == d1 else bmap[j]
-                mixed[target] = spec.add(mixed[target], v)
-        solved = solve_in_rowspace(mixed, new_P)
+        mixed = (FieldMatrix(spec, 1, base_P.nrows, (coeffs,)).matmul(base_P)
+                 .map_columns(split, cols2).images[0])
+        solved = new_P._echelon.express(mixed)
         if solved is None:
-            raw_rows.append(tuple(mixed))
+            raw_images.append(mixed)
         else:
-            coeff_rows.append(solved)
+            coeff_images.append(solved)
             serves_out.append(tags)
 
-    matrix = (FieldMatrix.from_rows(spec, coeff_rows, ncols=new_P.nrows)
-              if coeff_rows else FieldMatrix.empty(spec, new_P.nrows))
-    raw = (FieldMatrix.from_rows(spec, raw_rows, ncols=cols2) if raw_rows else None)
+    matrix = FieldMatrix(spec, len(coeff_images), new_P.nrows, tuple(coeff_images))
+    raw = FieldMatrix(spec, len(raw_images), cols2, tuple(raw_images)) if raw_images else None
     tags_tuple = tuple(serves_out) if any(t is not None for t in serves_out) else None
     return SenderSignal(matrix, tags_tuple, raw)
 
@@ -321,12 +314,10 @@ def adapt_request_random(base: LinearScheme) -> RequestRandomAdaptation:
             pruned = prune_signal(base, fake_demand, (real,))
             kept = pruned.kept_rows_of(sender)
             sig = base.delivery[fake_demand][sender]
-            coeff_rows = []
-            for i in kept:
-                coeff_rows.append(_interleaved_coeffs(sig.matrix.rows[i], 0))
-                coeff_rows.append(_interleaved_coeffs(sig.matrix.rows[i], 1))
-            mat = (FieldMatrix.from_rows(spec, coeff_rows, ncols=placement[sender - 1].nrows)
-                   if coeff_rows else FieldMatrix.empty(spec, placement[sender - 1].nrows))
+            images = sig.matrix.images
+            kept_rows = FieldMatrix(spec, len(kept), sig.matrix.ncols, tuple(images[i] for i in kept))
+            mat = _interleaved(kept_rows, _coeff_maps(sig.matrix.ncols),
+                               placement[sender - 1].nrows)
             delivery[d] = {
                 sender: SenderSignal(mat),
                 fake: SenderSignal(FieldMatrix.empty(spec, placement[fake - 1].nrows)),
@@ -336,14 +327,10 @@ def adapt_request_random(base: LinearScheme) -> RequestRandomAdaptation:
         elif r == 2:
             (sender,) = senders_of(d)
             sig = base.delivery[d][sender]
-            coeff_rows = []
-            serves = []
-            for i in range(sig.matrix.nrows):
-                for part in (0, 1):
-                    coeff_rows.append(_interleaved_coeffs(sig.matrix.rows[i], part))
-                    serves.append(sig.serves[i] if sig.serves is not None else None)
-            mat = (FieldMatrix.from_rows(spec, coeff_rows, ncols=placement[sender - 1].nrows)
-                   if coeff_rows else FieldMatrix.empty(spec, placement[sender - 1].nrows))
+            serves = [sig.serves[i] if sig.serves is not None else None
+                      for i in range(sig.matrix.nrows) for _ in (0, 1)]
+            mat = _interleaved(sig.matrix, _coeff_maps(sig.matrix.ncols),
+                               placement[sender - 1].nrows)
             tags = tuple(serves) if any(t is not None for t in serves) else None
             delivery[d] = {sender: SenderSignal(mat, tags)}
             worst[2] = max(worst[2], base_report.rate_of(d))

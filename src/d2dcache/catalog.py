@@ -306,34 +306,20 @@ def _kuser_mds(N: int, K: int, s: int) -> LinearScheme:
     spec = FieldSpec(min_extension_degree(K))
     L = s + 1
     G = mds_generator(K, L, spec)
-    cols = N * L
-
-    def coded_row(n: int, k: int) -> tuple[int, ...]:
-        row = [0] * cols
-        for l in range(1, L + 1):
-            row[symbol_col(N, L, n, l)] = G.rows[k - 1][l - 1]
-        return tuple(row)
-
+    # user k caches row k of G applied to the L subfiles of every file
     placement = tuple(
-        FieldMatrix.from_rows(spec, [coded_row(n, k) for n in range(1, N + 1)], ncols=cols)
-        for k in range(1, K + 1)
+        FieldMatrix(spec, N, N * L, tuple(g << symbol_col(N, L, n, 1) * spec.m
+                                          for n in range(1, N + 1)))
+        for g in G.images
     )
     delivery = {}
     for d in enumerate_demands(ModelKind.K_USER_S_SENDERS, N, K, s):
         distinct = sorted({v for v in d if v})
-        per_sender = {}
-        for k in senders_of(d):
-            coeffs = []
-            serves = []
-            for f in distinct:
-                unit = [0] * N
-                unit[f - 1] = 1
-                coeffs.append(tuple(unit))
-                serves.append(tuple(r + 1 for r, v in enumerate(d) if v == f))
-            mat = (FieldMatrix.from_rows(spec, coeffs, ncols=N)
-                   if coeffs else FieldMatrix.empty(spec, N))
-            per_sender[k] = SenderSignal(mat, tuple(serves) if serves else None)
-        delivery[d] = per_sender
+        # every sender sends cache row f - 1, its coded symbol of file f, as it is
+        units = tuple(1 << (f - 1) * spec.m for f in distinct)
+        serves = tuple(tuple(r + 1 for r, v in enumerate(d) if v == f) for f in distinct)
+        signal = SenderSignal(FieldMatrix(spec, len(units), N, units), serves or None)
+        delivery[d] = {k: signal for k in senders_of(d)}
     return LinearScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, spec, placement, delivery)
 
 

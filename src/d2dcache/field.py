@@ -4,10 +4,13 @@ Elements of GF(2^m) are integers in [0, 2^m) interpreted as polynomials
 over GF(2); multiplication reduces modulo a fixed irreducible polynomial
 so that serialized matrices are portable across implementations.
 
-Linear algebra runs over GF(2) on binary images: a row over GF(2^m) is one
-int with entry j in bits [j*m, (j+1)*m).  One packed echelon (RowSpan)
-answers rank, membership and solving in every field, and a matrix product
-is an XOR of the right factor's cached row images.
+A row over GF(2^m) is stored as its binary image: one int with entry j in
+bits [j*m, (j+1)*m).  FieldMatrix keeps only these images and checks
+entries once, where rows of ints come in (`FieldMatrix.from_rows`, which
+the loader and the builders use).  Linear algebra runs over GF(2) on the
+images: one packed echelon (RowSpan) answers rank, membership and solving
+in every field, and a matrix product XORs the right factor's cached
+images of x^i * row, one per set bit of the left row.
 """
 
 from __future__ import annotations
@@ -171,32 +174,39 @@ GF2 = FieldSpec(1)
 
 @dataclass(frozen=True)
 class FieldMatrix:
-    """Immutable row-major matrix over a FieldSpec."""
+    """Immutable matrix over a FieldSpec, stored as packed row images.
+
+    images[i] is the binary image of row i: entry j in bits [j*m, (j+1)*m).
+    Every m-bit lane is an element of GF(2^m), so entries are checked once,
+    where rows of ints come in (`from_rows`); products, stacks and column
+    maps build images that need no check.  `rows` unpacks on each access.
+    """
 
     spec: FieldSpec
     nrows: int
     ncols: int
-    rows: tuple[tuple[int, ...], ...]
+    images: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.rows) != self.nrows:
+        if len(self.images) != self.nrows:
             raise ConfigurationError("row count mismatch")
-        limit = self.spec.size
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ConfigurationError("column count mismatch")
-            for v in r:
-                if not 0 <= v < limit:
-                    raise ConfigurationError(f"entry {v} outside GF(2^{self.spec.m})")
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows: Iterable[Sequence[int]], ncols: Optional[int] = None) -> "FieldMatrix":
+        """The matrix of rows of ints, each checked to be an element of the field."""
         tup = tuple(tuple(int(v) for v in r) for r in rows)
         if ncols is None:
             if not tup:
                 raise ConfigurationError("cannot infer column count of an empty matrix")
             ncols = len(tup[0])
-        return cls(spec, len(tup), ncols, tup)
+        size = spec.size
+        for r in tup:
+            if len(r) != ncols:
+                raise ConfigurationError("column count mismatch")
+            for v in r:
+                if not 0 <= v < size:
+                    raise ConfigurationError(f"entry {v} outside GF(2^{spec.m})")
+        return cls(spec, len(tup), ncols, tuple(_pack(r, spec.m) for r in tup))
 
     @classmethod
     def empty(cls, spec: FieldSpec, ncols: int) -> "FieldMatrix":
@@ -204,71 +214,65 @@ class FieldMatrix:
 
     @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "FieldMatrix":
-        return cls(spec, n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls(spec, n, n, tuple(1 << i * spec.m for i in range(n)))
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.rows[i]
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The entries of every row, unpacked from the images on each access."""
+        return tuple(_unpack(image, self.ncols, self.spec.m) for image in self.images)
 
     def stack(self, other: "FieldMatrix") -> "FieldMatrix":
         if other.ncols != self.ncols or other.spec != self.spec:
             raise ConfigurationError("cannot stack matrices of mismatched shape/field")
-        return FieldMatrix(self.spec, self.nrows + other.nrows, self.ncols, self.rows + other.rows)
+        return FieldMatrix(self.spec, self.nrows + other.nrows, self.ncols, self.images + other.images)
 
     def matmul(self, other: "FieldMatrix") -> "FieldMatrix":
         if self.ncols != other.nrows or self.spec != other.spec:
             raise ConfigurationError("dimension mismatch in matrix product")
-        m = self.spec.m
-        images = other._images
-        packed = []
-        for row in self.rows:
-            # v * (row k) is the XOR of the images of x^i * (row k) over the set bits i of v
+        lifted = other._lifted
+        out = []
+        for image in self.images:
+            # bit k*m + i of a row stands for x^i * (row k of other)
             acc = 0
-            for v, lifted in zip(row, images):
-                if v:
-                    for i, image in enumerate(lifted):
-                        if v >> i & 1:
-                            acc ^= image
-            packed.append(acc)
-        product = FieldMatrix(self.spec, self.nrows, other.ncols,
-                              tuple(_unpack(acc, other.ncols, m) for acc in packed))
-        object.__setattr__(product, "_packed", tuple(packed))  # fills the cached property
-        return product
+            while image:
+                low = image & -image
+                acc ^= lifted[low.bit_length() - 1]
+                image ^= low
+            out.append(acc)
+        return FieldMatrix(self.spec, self.nrows, other.ncols, tuple(out))
 
     def map_columns(self, col_map: Sequence[int], new_ncols: int) -> "FieldMatrix":
         """Scatter each column j to position col_map[j] in a wider matrix."""
+        m = self.spec.m
+        lane = (1 << m) - 1
+        shifts = [c * m for c in col_map]
         out = []
-        for row in self.rows:
-            nr = [0] * new_ncols
-            for j, v in enumerate(row):
-                if v:
-                    nr[col_map[j]] = self.spec.add(nr[col_map[j]], v)
-            out.append(tuple(nr))
+        for image in self.images:
+            mapped = 0
+            while image:
+                j = ((image & -image).bit_length() - 1) // m
+                mapped ^= (image >> j * m & lane) << shifts[j]
+                image &= ~(lane << j * m)
+            out.append(mapped)
         return FieldMatrix(self.spec, self.nrows, new_ncols, tuple(out))
 
-    # Cached on the immutable matrix.  A product gets `_packed` from matmul;
-    # only reused matrices, such as placements, reach the other two: as a
-    # basis or as the right factor of matmul.
+    # Cached on the immutable matrix; only reused matrices, such as
+    # placements, reach them: as the right factor of matmul or as a basis.
 
     @functools.cached_property
-    def _packed(self) -> tuple[int, ...]:
-        """The binary image of each row."""
-        return tuple(_pack(r, self.spec.m) for r in self.rows)
-
-    @functools.cached_property
-    def _images(self) -> list[list[int]]:
-        """Per row, the binary images of x^i * row for i < m."""
+    def _lifted(self) -> list[int]:
+        """Entry k*m + i is the binary image of x^i * (row k)."""
         span = RowSpan(self.spec, self.ncols)
-        return [span._lift(image) for image in self._packed]
+        return [lifted for image in self.images for lifted in span._lift(image)]
 
     @functools.cached_property
     def _echelon(self) -> "RowSpan":
         """Echelon of the rows with a coefficient mask per pivot (see RowSpan)."""
         span = RowSpan(self.spec, self.ncols)
         tag = 1 << (self.ncols * self.spec.m)
-        for images in self._images:
-            for image in images:
-                span._insert(image | tag)
-                tag <<= 1
+        for image in self._lifted:
+            span._insert(image | tag)
+            tag <<= 1
         return span
 
 
@@ -366,7 +370,7 @@ class RowSpan:
         return True
 
     def add_matrix(self, matrix: FieldMatrix) -> None:
-        for image in matrix._packed:
+        for image in matrix.images:
             self.add(image)
 
     def add_span(self, other: "RowSpan") -> None:
@@ -436,7 +440,7 @@ def mds_generator(n_out: int, k_in: int, spec: FieldSpec) -> FieldMatrix:
     while len(points) < min(n_out, spec.size):
         points.append(x)
         x = spec.mul(x, g)
-    rows = [tuple(spec.pow(p, e) for e in range(k_in)) for p in points]
+    images = [sum(spec.pow(p, e) << e * spec.m for e in range(k_in)) for p in points]
     if n_out == capacity:
-        rows.append(tuple(0 if e < k_in - 1 else 1 for e in range(k_in)))
-    return FieldMatrix(spec, n_out, k_in, tuple(rows))
+        images.append(1 << (k_in - 1) * spec.m)
+    return FieldMatrix(spec, n_out, k_in, tuple(images))

@@ -216,6 +216,8 @@ def load_scheme_text(text: str) -> LinearScheme:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InterchangeError(f"not valid JSON: {exc}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise InterchangeError("JSON nests too deeply to load") from exc
     if not isinstance(doc, dict):
         raise InterchangeError("scheme document must be a JSON object")
     return scheme_from_dict(doc)

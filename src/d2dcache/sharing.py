@@ -42,8 +42,8 @@ def _block_col_map(N: int, L_part: int, L_total: int, offset: int) -> list[int]:
 
 def _stacked(spec: FieldSpec, ncols: int, blocks: Iterable[FieldMatrix]) -> FieldMatrix:
     """One matrix holding the rows of every block, in order."""
-    rows = tuple(row for block in blocks for row in block.rows)
-    return FieldMatrix(spec, len(rows), ncols, rows)
+    images = tuple(image for block in blocks for image in block.images)
+    return FieldMatrix(spec, len(images), ncols, images)
 
 
 def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearScheme:
@@ -86,15 +86,14 @@ def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearSchem
             blocks = [sch.delivery[d][k] for sch in instances]
             widths = [sch.placement_rows(k) for sch in instances]
             total_w = sum(widths)
-            rows: list[tuple[int, ...]] = []
+            images: list[int] = []
             serves: list = []
             raw_blocks: list[FieldMatrix] = []
             any_serves = False
             col_off = 0
             for sig, w, cmap in zip(blocks, widths, col_maps):
-                for i, row in enumerate(sig.matrix.rows):
-                    padded = (0,) * col_off + row + (0,) * (total_w - col_off - w)
-                    rows.append(padded)
+                for i, image in enumerate(sig.matrix.images):
+                    images.append(image << col_off * first.field.m)
                     if sig.serves is not None:
                         serves.append(sig.serves[i])
                         any_serves = True
@@ -105,7 +104,7 @@ def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearSchem
                 col_off += w
             raw = _stacked(first.field, N * L_total, raw_blocks)
             per_sender[k] = SenderSignal(
-                FieldMatrix(first.field, len(rows), total_w, tuple(rows)),
+                FieldMatrix(first.field, len(images), total_w, tuple(images)),
                 tuple(serves) if any_serves else None,
                 raw if raw.nrows else None,
             )

@@ -192,7 +192,7 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
             sent = scheme.transmitted_rows(d).values()
             verdict = None
             if orbits is not None:
-                images = sorted(image for mat in sent for image in mat._packed)
+                images = sorted(image for mat in sent for image in mat.images)
                 pattern = canonical_file_pattern(d)
                 verdict = _reused_verdict(orbits.get(pattern), d, images, N, block)
             if verdict is None:
@@ -255,7 +255,7 @@ def _file_symmetric(placements: dict[int, FieldMatrix], user_spans: dict[int, Ro
         user_spans[k].contains(_move_files(image, perm, block))
         for k, P in placements.items()
         for perm in generators
-        for image in P._packed
+        for image in P.images
     )
 
 

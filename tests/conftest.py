@@ -100,10 +100,9 @@ def rational_grid(lo, hi, step):
 
 
 def transpose(mat):
-    return FieldMatrix(
-        mat.spec, mat.ncols, mat.nrows,
-        tuple(tuple(mat.rows[i][j] for i in range(mat.nrows)) for j in range(mat.ncols)),
-    )
+    rows = mat.rows
+    return FieldMatrix.from_rows(mat.spec, [[r[j] for r in rows] for j in range(mat.ncols)],
+                                 ncols=mat.nrows)
 
 
 def row_set(mat):

@@ -98,6 +98,35 @@ def test_irreducibility_checked_at_construction():
 
 
 # ---------------------------------------------------------------------------
+# packed matrices: entries are checked once, where rows of ints come in
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rows,message", [
+    ([[0, 4]], "entry 4 outside GF(2^2)"),
+    ([[-1, 0]], "entry -1 outside GF(2^2)"),
+    ([[1, 0], [1]], "column count mismatch"),
+], ids=["too-large", "negative", "ragged"])
+def test_from_rows_rejects_non_elements_and_ragged_rows(rows, message):
+    with pytest.raises(ConfigurationError) as err:
+        FieldMatrix.from_rows(FieldSpec(2), rows)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("images", [(), (0b101,), (0b101, 0b011, 0b110)])
+def test_constructor_rejects_image_count_other_than_nrows(images):
+    with pytest.raises(ConfigurationError):
+        FieldMatrix(GF2, 2, 3, images)
+
+
+def test_images_hold_entry_j_in_bits_j_m_to_j_m_plus_m():
+    f = FieldSpec(3)
+    mat = FieldMatrix.from_rows(f, [[1, 0, 7], [0, 5, 0]])
+    assert mat.images == (1 | 7 << 6, 5 << 3)
+    assert mat.rows == ((1, 0, 7), (0, 5, 0))
+    assert FieldMatrix.identity(f, 3).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+# ---------------------------------------------------------------------------
 # rank
 # ---------------------------------------------------------------------------
 

@@ -124,6 +124,15 @@ def test_cli_verify_rejects_bad_document(tmp_path, capsys, change, expected):
     assert expected in err
 
 
+def test_cli_verify_rejects_deeply_nested_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "nests too deeply" in err
+
+
 def test_loader_rejects_rank_deficient_placement():
     doc = scheme_to_dict(cached_2rr1s(CornerPointId.MDS_HALF, 2))
     doc["placement"][0].append(doc["placement"][0][0])

@@ -1,4 +1,4 @@
-"""The packed binary-image kernel against a dense Gauss-Jordan oracle."""
+"""The packed binary-image kernel against dense and tuple oracles."""
 
 import pytest
 
@@ -64,7 +64,7 @@ def bases(draw):
             rows.append(combine(spec, weights, rows, ncols))
         else:
             rows.append(tuple(draw(st.lists(element, min_size=ncols, max_size=ncols))))
-    return FieldMatrix(spec, nrows, ncols, tuple(rows))
+    return FieldMatrix.from_rows(spec, rows, ncols=ncols)
 
 
 @st.composite
@@ -102,5 +102,32 @@ def test_matmul_matches_entrywise_product(basis, data):
     left = [tuple(data.draw(st.lists(st.integers(0, spec.size - 1),
                                      min_size=basis.nrows, max_size=basis.nrows)))
             for _ in range(nrows)]
-    product = FieldMatrix(spec, nrows, basis.nrows, tuple(left)).matmul(basis)
+    product = FieldMatrix.from_rows(spec, left, ncols=basis.nrows).matmul(basis)
     assert product.rows == tuple(combine(spec, row, basis.rows, basis.ncols) for row in left)
+
+
+def scatter(rows, col_map, new_ncols):
+    """Tuple oracle for map_columns: entry j is added into column col_map[j]."""
+    out = []
+    for row in rows:
+        wide = [0] * new_ncols
+        for j, v in enumerate(row):
+            wide[col_map[j]] ^= v
+        out.append(tuple(wide))
+    return tuple(out)
+
+
+@SETTINGS
+@given(st.data())
+def test_packing_stack_and_column_maps_match_tuple_oracle(data):
+    spec = FieldSpec(data.draw(st.integers(1, 4)))
+    ncols = data.draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, spec.size - 1), min_size=ncols, max_size=ncols).map(tuple)
+    top, bottom = (tuple(data.draw(st.lists(row, max_size=4))) for _ in range(2))
+    upper = FieldMatrix.from_rows(spec, top, ncols=ncols)
+    lower = FieldMatrix.from_rows(spec, bottom, ncols=ncols)
+    assert upper.rows == top
+    assert upper.stack(lower).rows == top + bottom
+    new_ncols = data.draw(st.integers(1, 8))
+    col_map = data.draw(st.lists(st.integers(0, new_ncols - 1), min_size=ncols, max_size=ncols))
+    assert upper.map_columns(col_map, new_ncols).rows == scatter(top, col_map, new_ncols)

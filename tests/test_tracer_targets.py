@@ -1,0 +1,33 @@
+"""The benchmark tracer's hooks name functions that exist in the package.
+
+`benchmarks/tracer.py` wraps each TARGETS entry by looking it up in its
+owner's `__dict__`, so a rename in the package breaks `run.py --trace 1`.
+This check keeps such a rename from passing the package's own tests.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("d2dcache_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_tracer_target_is_defined_where_it_is_hooked():
+    targets = _load_tracer().TARGETS
+    assert targets
+    missing = []
+    for module_name, path, _, _ in targets:
+        owner = importlib.import_module(module_name)
+        *outer, name = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if owner is None or name not in vars(owner):
+            missing.append(f"{module_name}.{path}")
+    assert missing == []
