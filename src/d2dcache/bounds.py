@@ -145,7 +145,7 @@ def load_external_curve(source: Union[str, Path], N: Optional[int] = None) -> Tr
     path = Path(source)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InterchangeError(f"cannot read curve file {path}: {exc}") from exc
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

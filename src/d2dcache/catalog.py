@@ -1,12 +1,14 @@
 """Constructors for every built-in caching/delivery scheme.
 
 Each builder returns a LinearScheme whose verified memory and worst-case
-rate land exactly on the advertised corner point.  Builders that design
-delivery rows in symbol space express them over the sender's cache via
-solve_in_rowspace, which reuses one echelon per sender placement, so a
-construction bug surfaces as an EncodingError instead of a bad scheme.
-The kuser/mds builder sends cached rows as they are and writes their
-coefficients directly.
+rate land exactly on the advertised corner point.  Builders write rows as
+binary images: symbol (n, l) is `unit_image(N, L, n, l)` and a sum of
+symbols is the XOR of their images.  A delivery row designed in symbol
+space is expressed over the sender's cache with the echelon cached on its
+placement (`_echelon.express`), whose coefficient mask is the encoding
+row's image, so a construction bug surfaces as an EncodingError instead of
+a bad scheme.  The kuser/mds builder sends cached rows as they are and
+writes their coefficients directly.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ConfigurationError, EncodingError
-from .field import GF2, FieldMatrix, FieldSpec, mds_generator, min_extension_degree, solve_in_rowspace
+from .field import GF2, FieldMatrix, FieldSpec, mds_generator, min_extension_degree
+# unused here; benchmarks/tests/test_benchmark.py::test_tracer_restores_the_program reads it
+from .field import solve_in_rowspace  # noqa: F401
 from .model import (
     Demand,
     LinearScheme,
@@ -25,9 +29,7 @@ from .model import (
     enumerate_demands,
     idle_counts,
     senders_of,
-    symbol_col,
-    unit_row,
-    xor_rows,
+    unit_image,
 )
 
 __all__ = [
@@ -72,28 +74,30 @@ def corner_value(point: CornerPointId, N: int, K: int = 3, s: int = 1) -> tuple[
     raise ConfigurationError(f"unknown corner point {point}")
 
 
-def _signal(P: FieldMatrix, symbol_rows: Sequence[Sequence[int]],
+def _signal(P: FieldMatrix, images: Sequence[int],
             serves: Optional[Sequence[Optional[tuple[int, ...]]]] = None) -> SenderSignal:
+    """Encoding rows that put the symbol-space images on the air from cache P."""
+    echelon = P._echelon
     coeffs = []
-    for row in symbol_rows:
-        c = solve_in_rowspace(row, P)
+    for image in images:
+        c = echelon.express(image)
         if c is None:
             raise EncodingError("delivery row is outside the sender's cache row space")
         coeffs.append(c)
-    mat = (FieldMatrix.from_rows(P.spec, coeffs, ncols=P.nrows)
-           if coeffs else FieldMatrix.empty(P.spec, P.nrows))
+    mat = FieldMatrix(P.spec, len(coeffs), P.nrows, tuple(coeffs))
     return SenderSignal(mat, tuple(serves) if serves is not None else None)
+
+
+def _idle_signals(placement: Sequence[FieldMatrix]) -> tuple[SenderSignal, ...]:
+    """One empty signal per user, shared by every demand in which it sends nothing."""
+    return tuple(SenderSignal(FieldMatrix.empty(P.spec, P.nrows)) for P in placement)
 
 
 def _empty_delivery(model: ModelKind, N: int, K: int, s: Optional[int],
                     placement: Sequence[FieldMatrix]) -> dict[Demand, dict[int, SenderSignal]]:
-    delivery = {}
-    for d in enumerate_demands(model, N, K, s):
-        delivery[d] = {
-            k: SenderSignal(FieldMatrix.empty(placement[k - 1].spec, placement[k - 1].nrows))
-            for k in senders_of(d)
-        }
-    return delivery
+    idle = _idle_signals(placement)
+    return {d: {k: idle[k - 1] for k in senders_of(d)}
+            for d in enumerate_demands(model, N, K, s)}
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +128,19 @@ def _full_scheme(model: ModelKind, N: int, K: int, s: Optional[int]) -> LinearSc
     return LinearScheme(model, N, K, s, 1, GF2, placement, delivery)
 
 
+def _cache(N: int, L: int, images: Sequence[int]) -> FieldMatrix:
+    """A GF(2) placement whose rows are the given symbol-space images."""
+    return FieldMatrix(GF2, len(images), N * L, tuple(images))
+
+
 def _mds_half(N: int) -> LinearScheme:
     L = 2
-    parity = {n: xor_rows(unit_row(N, L, n, 1), unit_row(N, L, n, 2)) for n in range(1, N + 1)}
-    P1 = FieldMatrix.from_rows(GF2, [parity[n] for n in range(1, N + 1)])
-    P2 = FieldMatrix.from_rows(GF2, [unit_row(N, L, n, 1) for n in range(1, N + 1)])
-    P3 = FieldMatrix.from_rows(GF2, [unit_row(N, L, n, 2) for n in range(1, N + 1)])
+    u = lambda n, l: unit_image(N, L, n, l)
+    files = range(1, N + 1)
+    parity = {n: u(n, 1) ^ u(n, 2) for n in files}
+    P1 = _cache(N, L, [parity[n] for n in files])
+    P2 = _cache(N, L, [u(n, 1) for n in files])
+    P3 = _cache(N, L, [u(n, 2) for n in files])
     placement = (P1, P2, P3)
     delivery = {}
     for d in enumerate_demands(ModelKind.TWO_RR_ONE_S, N, 3, 1):
@@ -139,11 +150,11 @@ def _mds_half(N: int) -> LinearScheme:
             serves = [(2,), (3,)]
             sender = 1
         elif d2 == 0:
-            rows = [unit_row(N, L, d1, 1), unit_row(N, L, d3, 1)]
+            rows = [u(d1, 1), u(d3, 1)]
             serves = [(1,), (3,)]
             sender = 2
         else:
-            rows = [unit_row(N, L, d1, 2), unit_row(N, L, d2, 2)]
+            rows = [u(d1, 2), u(d2, 2)]
             serves = [(1,), (2,)]
             sender = 3
         delivery[d] = {sender: _signal(placement[sender - 1], rows, serves)}
@@ -153,25 +164,23 @@ def _mds_half(N: int) -> LinearScheme:
 def _man_two_thirds(N: int) -> LinearScheme:
     # subfile slots: 1 <-> {1,2}, 2 <-> {1,3}, 3 <-> {2,3}
     L = 3
+    u = lambda n, l: unit_image(N, L, n, l)
     slots_of_user = {1: (1, 2), 2: (1, 3), 3: (2, 3)}
     placement = tuple(
-        FieldMatrix.from_rows(
-            GF2,
-            [unit_row(N, L, n, sl) for n in range(1, N + 1) for sl in slots_of_user[k]],
-        )
+        _cache(N, L, [u(n, sl) for n in range(1, N + 1) for sl in slots_of_user[k]])
         for k in (1, 2, 3)
     )
     delivery = {}
     for d in enumerate_demands(ModelKind.TWO_RR_ONE_S, N, 3, 1):
         d1, d2, d3 = d
         if d1 == 0:
-            row = xor_rows(unit_row(N, L, d2, 2), unit_row(N, L, d3, 1))
+            row = u(d2, 2) ^ u(d3, 1)
             sender = 1
         elif d2 == 0:
-            row = xor_rows(unit_row(N, L, d1, 3), unit_row(N, L, d3, 1))
+            row = u(d1, 3) ^ u(d3, 1)
             sender = 2
         else:
-            row = xor_rows(unit_row(N, L, d1, 3), unit_row(N, L, d2, 2))
+            row = u(d1, 3) ^ u(d2, 2)
             sender = 3
         delivery[d] = {sender: _signal(placement[sender - 1], [row])}
     return LinearScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, delivery)
@@ -185,33 +194,30 @@ def _half_rate(N: int) -> LinearScheme:
     that lets the sender preprocess any needed pairwise combination.
     """
     L = 6
-    u = lambda n, l: unit_row(N, L, n, l)
+    u = lambda n, l: unit_image(N, L, n, l)
 
-    def rows_for(pair: tuple[int, int], pure: tuple[int, int], chain: int) -> list:
+    def cache(pair: tuple[int, int], pure: tuple[int, int], chain: int) -> FieldMatrix:
         out = []
         for n in range(1, N + 1):
-            out.append(xor_rows(u(n, pair[0]), u(n, pair[1])))
+            out.append(u(n, pair[0]) ^ u(n, pair[1]))
             out.append(u(n, pure[0]))
             out.append(u(n, pure[1]))
         for n in range(1, N):
-            out.append(xor_rows(u(n, chain), u(n + 1, chain - 1)))
-        return out
+            out.append(u(n, chain) ^ u(n + 1, chain - 1))
+        return _cache(N, L, out)
 
-    P1 = FieldMatrix.from_rows(GF2, rows_for((1, 2), (4, 5), 2))
-    P2 = FieldMatrix.from_rows(GF2, rows_for((3, 4), (1, 6), 4))
-    P3 = FieldMatrix.from_rows(GF2, rows_for((5, 6), (2, 3), 6))
-    placement = (P1, P2, P3)
+    placement = (cache((1, 2), (4, 5), 2), cache((3, 4), (1, 6), 4), cache((5, 6), (2, 3), 6))
     delivery = {}
     for d in enumerate_demands(ModelKind.TWO_RR_ONE_S, N, 3, 1):
         d1, d2, d3 = d
         if d1 == 0:
-            rows = [xor_rows(u(d2, 2), u(d3, 1)), u(d3, 4), u(d2, 5)]
+            rows = [u(d2, 2) ^ u(d3, 1), u(d3, 4), u(d2, 5)]
             sender = 1
         elif d2 == 0:
-            rows = [xor_rows(u(d1, 3), u(d3, 4)), u(d3, 1), u(d1, 6)]
+            rows = [u(d1, 3) ^ u(d3, 4), u(d3, 1), u(d1, 6)]
             sender = 2
         else:
-            rows = [xor_rows(u(d1, 6), u(d2, 5)), u(d2, 2), u(d1, 3)]
+            rows = [u(d1, 6) ^ u(d2, 5), u(d2, 2), u(d1, 3)]
             sender = 3
         delivery[d] = {sender: _signal(placement[sender - 1], rows)}
     return LinearScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, delivery)
@@ -219,18 +225,17 @@ def _half_rate(N: int) -> LinearScheme:
 
 def _n2_seven_eighths() -> LinearScheme:
     N, L = 2, 8
-    A = lambda l: unit_row(N, L, 1, l)
-    B = lambda l: unit_row(N, L, 2, l)
+    A = lambda l: unit_image(N, L, 1, l)
+    B = lambda l: unit_image(N, L, 2, l)
     W = {1: A, 2: B}
-    x = xor_rows
-    P1 = FieldMatrix.from_rows(GF2, [
-        x(A(1), B(2)), x(A(2), B(1)), B(4), A(4), A(5), B(5), x(A(7), A(8)), x(B(7), B(8)),
+    P1 = _cache(N, L, [
+        A(1) ^ B(2), A(2) ^ B(1), B(4), A(4), A(5), B(5), A(7) ^ A(8), B(7) ^ B(8),
     ])
-    P2 = FieldMatrix.from_rows(GF2, [
-        A(1), B(1), x(A(3), B(4)), x(A(4), B(3)), B(6), A(6), A(7), B(7),
+    P2 = _cache(N, L, [
+        A(1), B(1), A(3) ^ B(4), A(4) ^ B(3), B(6), A(6), A(7), B(7),
     ])
-    P3 = FieldMatrix.from_rows(GF2, [
-        B(2), A(2), A(3), B(3), x(A(5), B(6)), x(A(6), B(5)), A(8), B(8),
+    P3 = _cache(N, L, [
+        B(2), A(2), A(3), B(3), A(5) ^ B(6), A(6) ^ B(5), A(8), B(8),
     ])
     placement = (P1, P2, P3)
     delivery = {}
@@ -238,21 +243,21 @@ def _n2_seven_eighths() -> LinearScheme:
         d1, d2, d3 = d
         if d1 == 0:
             if d2 != d3:
-                rows = [x(W[d2](2), W[d3](1)), A(4), B(4), A(5), B(5), x(A(7), A(8)), x(B(7), B(8))]
+                rows = [W[d2](2) ^ W[d3](1), A(4), B(4), A(5), B(5), A(7) ^ A(8), B(7) ^ B(8)]
             else:
-                rows = [x(W[d2](7), W[d2](8)), A(4), B(4), A(5), B(5), x(A(1), B(2)), x(A(2), B(1))]
+                rows = [W[d2](7) ^ W[d2](8), A(4), B(4), A(5), B(5), A(1) ^ B(2), A(2) ^ B(1)]
             sender = 1
         elif d2 == 0:
             if d1 != d3:
-                rows = [x(W[d1](3), W[d3](4)), A(1), B(1), A(6), B(6), A(7), B(7)]
+                rows = [W[d1](3) ^ W[d3](4), A(1), B(1), A(6), B(6), A(7), B(7)]
             else:
-                rows = [W[d1](7), A(1), B(1), A(6), B(6), x(A(3), B(4)), x(A(4), B(3))]
+                rows = [W[d1](7), A(1), B(1), A(6), B(6), A(3) ^ B(4), A(4) ^ B(3)]
             sender = 2
         else:
             if d1 != d2:
-                rows = [x(W[d1](6), W[d2](5)), A(2), B(2), A(3), B(3), A(8), B(8)]
+                rows = [W[d1](6) ^ W[d2](5), A(2), B(2), A(3), B(3), A(8), B(8)]
             else:
-                rows = [W[d1](8), A(2), B(2), A(3), B(3), x(A(5), B(6)), x(A(6), B(5))]
+                rows = [W[d1](8), A(2), B(2), A(3), B(3), A(5) ^ B(6), A(6) ^ B(5)]
             sender = 3
         delivery[d] = {sender: _signal(placement[sender - 1], rows)}
     return LinearScheme(ModelKind.TWO_RR_ONE_S, 2, 3, 1, L, GF2, placement, delivery)
@@ -266,12 +271,11 @@ def build_traditional_scheme(point: CornerPointId, N: int) -> LinearScheme:
     if point is not CornerPointId.TRAD_CODED_ONE_ONE or N != 2:
         raise ConfigurationError("only the N=2 coded (1, 1) design is cataloged")
     L = 6
-    A = lambda l: unit_row(N, L, 1, l)
-    B = lambda l: unit_row(N, L, 2, l)
-    x = xor_rows
-    P1 = FieldMatrix.from_rows(GF2, [x(A(1), B(1)), x(A(2), B(2)), A(3), A(4), B(3), B(4)])
-    P2 = FieldMatrix.from_rows(GF2, [x(A(3), B(3)), x(A(4), B(4)), A(5), A(6), B(5), B(6)])
-    P3 = FieldMatrix.from_rows(GF2, [x(A(5), B(5)), x(A(6), B(6)), A(1), A(2), B(1), B(2)])
+    A = lambda l: unit_image(N, L, 1, l)
+    B = lambda l: unit_image(N, L, 2, l)
+    P1 = _cache(N, L, [A(1) ^ B(1), A(2) ^ B(2), A(3), A(4), B(3), B(4)])
+    P2 = _cache(N, L, [A(3) ^ B(3), A(4) ^ B(4), A(5), A(6), B(5), B(6)])
+    P3 = _cache(N, L, [A(5) ^ B(5), A(6) ^ B(6), A(1), A(2), B(1), B(2)])
     placement = (P1, P2, P3)
     W = {1: A, 2: B}
     delivery = {}
@@ -308,15 +312,16 @@ def _kuser_mds(N: int, K: int, s: int) -> LinearScheme:
     G = mds_generator(K, L, spec)
     # user k caches row k of G applied to the L subfiles of every file
     placement = tuple(
-        FieldMatrix(spec, N, N * L, tuple(g << symbol_col(N, L, n, 1) * spec.m
+        FieldMatrix(spec, N, N * L, tuple(g * unit_image(N, L, n, 1, spec.m)
                                           for n in range(1, N + 1)))
         for g in G.images
     )
+    # every sender sends cache row f - 1, its one coded symbol of file f, as it is
+    cache_row = {f: unit_image(N, 1, f, 1, spec.m) for f in range(1, N + 1)}
     delivery = {}
     for d in enumerate_demands(ModelKind.K_USER_S_SENDERS, N, K, s):
         distinct = sorted({v for v in d if v})
-        # every sender sends cache row f - 1, its coded symbol of file f, as it is
-        units = tuple(1 << (f - 1) * spec.m for f in distinct)
+        units = tuple(cache_row[f] for f in distinct)
         serves = tuple(tuple(r + 1 for r, v in enumerate(d) if v == f) for f in distinct)
         signal = SenderSignal(FieldMatrix(spec, len(units), N, units), serves or None)
         delivery[d] = {k: signal for k in senders_of(d)}
@@ -325,23 +330,22 @@ def _kuser_mds(N: int, K: int, s: int) -> LinearScheme:
 
 def _kuser_man(N: int, K: int, s: int) -> LinearScheme:
     L = K
+    u = lambda n, l: unit_image(N, L, n, l)
     placement = tuple(
-        FieldMatrix.from_rows(
-            GF2,
-            [unit_row(N, L, n, j) for n in range(1, N + 1) for j in range(1, K + 1) if j != k],
-        )
+        _cache(N, L, [u(n, j) for n in range(1, N + 1) for j in range(1, K + 1) if j != k])
         for k in range(1, K + 1)
     )
+    idle = _idle_signals(placement)
     delivery = {}
     for d in enumerate_demands(ModelKind.K_USER_S_SENDERS, N, K, s):
-        senders = senders_of(d)
-        lead = min(senders)
-        row = xor_rows(*[unit_row(N, L, d[k - 1], k) for k in range(1, K + 1) if d[k - 1]])
-        per_sender = {}
-        for k in senders:
-            if k == lead:
-                per_sender[k] = _signal(placement[k - 1], [row])
-            else:
-                per_sender[k] = SenderSignal(FieldMatrix.empty(GF2, placement[k - 1].nrows))
+        # user k misses subfile k; the lead sender XORs every requester's missing subfile
+        row = 0
+        for k, f in enumerate(d, start=1):
+            if f:
+                row ^= u(f, k)
+        lead, *rest = senders_of(d)
+        per_sender = {lead: _signal(placement[lead - 1], [row])}
+        for k in rest:
+            per_sender[k] = idle[k - 1]
         delivery[d] = per_sender
     return LinearScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, GF2, placement, delivery)

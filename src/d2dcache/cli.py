@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY_FAILED = 2
 
+# Each sample is one exact Fraction held in memory, so the grid is capped.
+MAX_SAMPLES = 10_000
+
 
 class UsageError(Exception):
     pass
@@ -116,8 +119,8 @@ def _parse_baselines(items: Sequence[str]) -> dict[str, str]:
 
 def _sample_grid(lo: Fraction, hi: Fraction, samples: int,
                  corner_Ms: Sequence[Fraction]) -> list[Fraction]:
-    if samples < 2:
-        raise UsageError("--samples must be at least 2")
+    if not 2 <= samples <= MAX_SAMPLES:
+        raise UsageError(f"--samples must lie in 2..{MAX_SAMPLES}")
     if hi < lo:
         raise UsageError("--M-max must not be below --M-min")
     grid = {lo, hi}

@@ -6,11 +6,12 @@ so that serialized matrices are portable across implementations.
 
 A row over GF(2^m) is stored as its binary image: one int with entry j in
 bits [j*m, (j+1)*m).  FieldMatrix keeps only these images and checks
-entries once, where rows of ints come in (`FieldMatrix.from_rows`, which
-the loader and the builders use).  Linear algebra runs over GF(2) on the
-images: one packed echelon (RowSpan) answers rank, membership and solving
-in every field, and a matrix product XORs the right factor's cached
-images of x^i * row, one per set bit of the left row.
+entries once, where rows of ints come in (`FieldMatrix.from_rows`, the
+loader's entry point; the builders write images directly).  Linear
+algebra runs over GF(2) on the images: one packed echelon (RowSpan)
+answers rank, membership and solving in every field, and a matrix product
+XORs the right factor's cached images of x^i * row, one per set bit of
+the left row.
 """
 
 from __future__ import annotations
@@ -193,20 +194,28 @@ class FieldMatrix:
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows: Iterable[Sequence[int]], ncols: Optional[int] = None) -> "FieldMatrix":
-        """The matrix of rows of ints, each checked to be an element of the field."""
-        tup = tuple(tuple(int(v) for v in r) for r in rows)
-        if ncols is None:
-            if not tup:
-                raise ConfigurationError("cannot infer column count of an empty matrix")
-            ncols = len(tup[0])
-        size = spec.size
-        for r in tup:
-            if len(r) != ncols:
+        """The matrix of rows of ints, each entry checked once as it is packed.
+
+        An entry must be an int (not a bool) in 0..2^m - 1, and every row must
+        have ncols entries (the first row's length when ncols is None).
+        """
+        m, size = spec.m, spec.size
+        images = []
+        for row in rows:
+            if ncols is None:
+                ncols = len(row)
+            elif len(row) != ncols:
                 raise ConfigurationError("column count mismatch")
-            for v in r:
-                if not 0 <= v < size:
-                    raise ConfigurationError(f"entry {v} outside GF(2^{spec.m})")
-        return cls(spec, len(tup), ncols, tuple(_pack(r, spec.m) for r in tup))
+            image = 0
+            for shift, v in zip(range(0, ncols * m, m), row):
+                if type(v) is not int or not 0 <= v < size:
+                    raise ConfigurationError(f"entry {v!r} outside GF(2^{m})")
+                if v:
+                    image |= v << shift
+            images.append(image)
+        if ncols is None:
+            raise ConfigurationError("cannot infer column count of an empty matrix")
+        return cls(spec, len(images), ncols, tuple(images))
 
     @classmethod
     def empty(cls, spec: FieldSpec, ncols: int) -> "FieldMatrix":

@@ -105,9 +105,8 @@ def _require(doc: dict, key: str, kind) -> object:
 
 
 def _matrix(spec: FieldSpec, rows: object, ncols: int, field: str) -> FieldMatrix:
-    """A document matrix: a list of rows of integer (not bool) entries."""
-    if not (isinstance(rows, list) and all(
-            isinstance(row, list) and all(type(v) is int for v in row) for row in rows)):
+    """A document matrix: a list of rows, each a list of field elements."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise InterchangeError("expected a list of rows of integers", field=field)
     try:
         return FieldMatrix.from_rows(spec, rows, ncols=ncols)
@@ -147,6 +146,9 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
     if s is not None and (not isinstance(s, int) or isinstance(s, bool)):
         raise InterchangeError(f"expected an integer or null, got {s!r}", field="s")
     L = _require(doc, "L", int)
+    for name, value in (("K", K), ("L", L)):
+        if value < 1:
+            raise InterchangeError(f"{name} must be positive, got {value}", field=name)
     field_m = _require(doc, "field_m", int)
     if not 1 <= field_m <= _EXHAUSTIVE_CHECK_LIMIT:
         # larger degrees make finding a modulus and the field tables exponential
@@ -226,6 +228,6 @@ def load_scheme_text(text: str) -> LinearScheme:
 def load_scheme_file(path: Union[str, Path]) -> LinearScheme:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InterchangeError(f"cannot read scheme file {path}: {exc}") from exc
     return load_scheme_text(text)

@@ -148,18 +148,9 @@ def symbol_col(N: int, L: int, n: int, l: int) -> int:
     return (n - 1) * L + (l - 1)
 
 
-def unit_row(N: int, L: int, n: int, l: int) -> tuple[int, ...]:
-    row = [0] * (N * L)
-    row[symbol_col(N, L, n, l)] = 1
-    return tuple(row)
-
-
-def xor_rows(*rows: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(rows[0])
-    for r in rows:
-        for i, v in enumerate(r):
-            out[i] ^= v
-    return tuple(out)
+def unit_image(N: int, L: int, n: int, l: int, m: int = 1) -> int:
+    """Binary image of the unit selector of subfile l of file n (an m-bit lane)."""
+    return 1 << symbol_col(N, L, n, l) * m
 
 
 @dataclass(frozen=True)
@@ -177,6 +168,8 @@ class LinearScheme:
 
     def __post_init__(self):
         idle = idle_counts(self.model, self.N, self.K, self.s)
+        if self.L < 1:
+            raise ConfigurationError("L must be positive")
         if len(self.placement) != self.K:
             raise ConfigurationError("need one placement matrix per user")
         cols = self.symbol_count

@@ -35,7 +35,7 @@ from .model import (
     enumerate_demands,
     idle_counts,
     requesters_of,
-    symbol_col,
+    unit_image,
 )
 
 
@@ -290,5 +290,5 @@ def _relabelling(rep: Demand, d: Demand, N: int) -> list[int]:
 def _file_decodable(span: RowSpan, N: int, L: int, file_id: int) -> bool:
     """True when every unit selector of the file lies in the span."""
     m = span.spec.m
-    base = symbol_col(N, L, file_id, 1)
-    return all(span.contains(1 << ((base + l) * m)) for l in range(L))
+    first = unit_image(N, L, file_id, 1, m)
+    return all(span.contains(first << l * m) for l in range(L))

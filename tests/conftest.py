@@ -10,6 +10,7 @@ from d2dcache.catalog import (
 )
 from d2dcache.errors import ConfigurationError
 from d2dcache.field import FieldMatrix, RowSpan
+from d2dcache.model import symbol_col
 from d2dcache.verify import _file_decodable
 
 TWO_RR_POINTS = (
@@ -107,3 +108,19 @@ def transpose(mat):
 
 def row_set(mat):
     return frozenset(mat.rows)
+
+
+def unit_row(N, L, n, l):
+    """The tuple row that selects subfile l of file n: an oracle for unit_image."""
+    row = [0] * (N * L)
+    row[symbol_col(N, L, n, l)] = 1
+    return tuple(row)
+
+
+def xor_rows(*rows):
+    """Entrywise GF(2) sum of tuple rows: an oracle for XOR of images."""
+    out = [0] * len(rows[0])
+    for r in rows:
+        for i, v in enumerate(r):
+            out[i] ^= v
+    return tuple(out)

@@ -18,12 +18,10 @@ from d2dcache.model import (
     ModelKind,
     enumerate_demands,
     requesters_of,
-    unit_row,
-    xor_rows,
 )
 from d2dcache.verify import verify
 
-from conftest import TWO_RR_POINTS, cached_2rr1s
+from conftest import TWO_RR_POINTS, cached_2rr1s, unit_row, xor_rows
 
 
 # ---------------------------------------------------------------------------

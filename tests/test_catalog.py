@@ -1,5 +1,6 @@
 """Catalog constructors land exactly on their corner points."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,19 @@ import pytest
 from d2dcache.catalog import CornerPointId, build_2rr1s_scheme, build_kuser_scheme, corner_value
 from d2dcache.curves import RatePoint, envelope
 from d2dcache.errors import ConfigurationError, FeasibilityError
-from d2dcache.model import unit_row, xor_rows
+from d2dcache.io import dump_scheme
 from d2dcache.verify import verify
 
-from conftest import TWO_RR_POINTS, cached_2rr1s, cached_kuser, cached_traditional, row_set
+from conftest import (
+    KUSER_CASES,
+    TWO_RR_POINTS,
+    cached_2rr1s,
+    cached_kuser,
+    cached_traditional,
+    row_set,
+    unit_row,
+    xor_rows,
+)
 
 
 @pytest.mark.parametrize("point", TWO_RR_POINTS)
@@ -166,3 +176,52 @@ def test_envelope_drops_duplicates_and_dominated_points():
 def test_envelope_needs_points():
     with pytest.raises(ConfigurationError):
         envelope([])
+
+
+# ---------------------------------------------------------------------------
+# exact output: row order, images and coefficients, as exported
+# ---------------------------------------------------------------------------
+
+# sha256 of dump_scheme(...) for each builtin, recorded from the tuple-row
+# builders; no other test checks exact row order or coefficients.
+EXPORT_DIGESTS = {
+    "2rr1s/full N=2": "a35e04ac996f5acc7a24f27cf68939d993b6e2f5215d2d27c457806aa0066738",
+    "2rr1s/mds-half N=2": "cc8d13d5f2a6a59a792cf424b42d6e30e8b3837f83271bfb10e9a4d28d373b6e",
+    "2rr1s/man-2-3 N=2": "69b612b3c0748cda9093331330b0d3e53ffe78fed6b61fdaa58d0ed71ebf28e1",
+    "2rr1s/half-rate N=2": "e93d1cb98ecdaef014ddf46c1a98fb916424ab045eb43ac1ce0759e31690f24d",
+    "2rr1s/full N=3": "b1fa4f13df5938b7d82dfc4fc8a7ff460a2c9bd0980ac3de9aecc2e55e3d8298",
+    "2rr1s/mds-half N=3": "93bb80b3645bb9b10c63f751ccfd53f137b999e2664874c7e173d611f6ea5a39",
+    "2rr1s/man-2-3 N=3": "d2cc07e63493795dd700bf3dcd1db72fb3fb48b365ff7a9f41e95baf17fac5f3",
+    "2rr1s/half-rate N=3": "bf3206c20ed6099200a9b340f7d43d72227e9bc94c967b89aededbf56c0d9743",
+    "2rr1s/full N=4": "45449674d9038c8594890b326d5a9b5a77692f3377c8ece58894b26ddb872732",
+    "2rr1s/mds-half N=4": "9c1da832c5a1dd3e1d8d418d7ac94a8547d90719c0bdc7524811d115a2a5b69f",
+    "2rr1s/man-2-3 N=4": "ebba9561f3bdad346cf2fd3f1ede61dc0cb621614e5a1a35f556e3b93249749e",
+    "2rr1s/half-rate N=4": "c518a4a3e979c962de18291f48152f3e5212231967dcd9756d615b3ea967d49a",
+    "2rr1s/n2-7-8 N=2": "a3b1caba40f7d9a632be9f1beb05e71a4e99913b15bff84cf149a76d368c7619",
+    "trad/coded-1-1 N=2": "187e6d1d8767ff37e8db2ca297fcae6884024fba9f306ce31d8aa08af62d6749",
+    "kuser/man N=4 K=5 s=2": "187913cdd60f19cde9b811836bd1e3ae002da04cd333f55cbc03f6dd28a9c7db",
+    "kuser/mds N=4 K=5 s=2": "ce96dfa19a9643b9b4bf57913956b75a2834d4015a28e240692c3ae64901f558",
+    "kuser/man N=4 K=6 s=3": "83660742f85d07eabbe55b02b831ca25414b67b32248d78d700268f17e2a445c",
+    "kuser/mds N=4 K=6 s=3": "9afee2d1977ccdb4f519254f453742cdc10056537a0aa7df5d534220bf464ae2",
+}
+
+
+def _pinned_schemes():
+    for N in (2, 3, 4):
+        for point in TWO_RR_POINTS:
+            yield f"2rr1s/{point.value} N={N}", lambda p=point, n=N: cached_2rr1s(p, n)
+    yield "2rr1s/n2-7-8 N=2", lambda: cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2)
+    yield "trad/coded-1-1 N=2", cached_traditional
+    for N, K, s in (KUSER_CASES[1], KUSER_CASES[3]):
+        for point, name in ((CornerPointId.KU_MAN, "man"), (CornerPointId.KU_MDS, "mds")):
+            yield (f"kuser/{name} N={N} K={K} s={s}",
+                   lambda p=point, n=N, k=K, s=s: cached_kuser(p, n, k, s))
+
+
+PINNED = list(_pinned_schemes())
+
+
+@pytest.mark.parametrize("name,make", PINNED, ids=[name for name, _ in PINNED])
+def test_builder_output_is_pinned(name, make):
+    text = dump_scheme(make())
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_DIGESTS[name]

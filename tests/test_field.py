@@ -105,7 +105,10 @@ def test_irreducibility_checked_at_construction():
     ([[0, 4]], "entry 4 outside GF(2^2)"),
     ([[-1, 0]], "entry -1 outside GF(2^2)"),
     ([[1, 0], [1]], "column count mismatch"),
-], ids=["too-large", "negative", "ragged"])
+    ([[1, 0], [1, 0, 1]], "column count mismatch"),
+    ([[1, True]], "entry True outside GF(2^2)"),
+    ([[1.0, 0]], "entry 1.0 outside GF(2^2)"),
+], ids=["too-large", "negative", "ragged", "long-row", "bool", "float"])
 def test_from_rows_rejects_non_elements_and_ragged_rows(rows, message):
     with pytest.raises(ConfigurationError) as err:
         FieldMatrix.from_rows(FieldSpec(2), rows)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from d2dcache.catalog import CornerPointId
-from d2dcache.cli import main
+from d2dcache.cli import MAX_SAMPLES, main
 from d2dcache.errors import InterchangeError
 from d2dcache.io import (
     builtin_names,
@@ -89,6 +89,12 @@ BAD_DOCUMENTS = [
     ("field-m-zero", lambda doc: doc.update(field_m=0), "field: field_m"),
     ("field-m-17", lambda doc: doc.update(field_m=17), "field: field_m"),
     ("field-m-huge", lambda doc: doc.update(field_m=10 ** 6), "field: field_m"),
+    # sizes below 1 are refused before any matrix is built
+    ("L-zero", lambda doc: doc.update(L=0, placement=[[], [], []], delivery={}), "field: L"),
+    ("L-negative", lambda doc: doc.update(L=-1, placement=[[], [], []], delivery={}),
+     "field: L"),
+    ("K-zero", lambda doc: doc.update(model="traditional", K=0, s=0, placement=[], delivery={}),
+     "field: K"),
 ]
 
 
@@ -335,6 +341,18 @@ def test_cli_rr_compare_edge_probabilities(capsys):
     assert main(["rr-compare", "--p", "1"] + common) == 0
     line = capsys.readouterr().out.strip().splitlines()[1]
     assert line.split(",")[1] == "0.5"
+
+
+@pytest.mark.parametrize("samples", [MAX_SAMPLES + 1, 10 ** 9])
+def test_cli_caps_the_sample_count(capsys, samples):
+    from d2dcache.bounds import shipped_curve
+    rr = ["rr-compare", "--p", "0.5", "--N", "30"]
+    for r in ("r1", "r2", "r3"):
+        rr += ["--baseline", f"{r}={shipped_curve(f'rr_baseline_{r}_n30.curve')}"]
+    for args in (["sweep", "--model", "2rr1s", "--N", "4"], rr):
+        assert main(args + ["--samples", str(samples)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"2..{MAX_SAMPLES}" in err
 
 
 def test_cli_usage_errors(capsys):

@@ -18,12 +18,18 @@ from d2dcache.model import (
     permute_scheme,
     requesters_of,
     senders_of,
-    unit_row,
 )
 from d2dcache.sharing import memory_share, symmetrize
 from d2dcache.verify import _recovery_groups, verify
 
-from conftest import cached_2rr1s, cached_kuser, cached_traditional, decodes_demand, row_set
+from conftest import (
+    cached_2rr1s,
+    cached_kuser,
+    cached_traditional,
+    decodes_demand,
+    row_set,
+    unit_row,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +70,13 @@ def test_inconsistent_parameters_rejected():
     ]:
         with pytest.raises(ConfigurationError):
             enumerate_demands(model, N, K, s)
+
+
+@pytest.mark.parametrize("L", [0, -1])
+def test_scheme_without_subfiles_rejected(L):
+    empty = FieldMatrix.empty(GF2, 0)
+    with pytest.raises(ConfigurationError, match="L must be positive"):
+        LinearScheme(ModelKind.TWO_RR_ONE_S, 2, 3, 1, L, GF2, (empty,) * 3, {})
 
 
 # The per-model rules as they were written before the model table, kept

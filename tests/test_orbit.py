@@ -17,6 +17,7 @@ from conftest import (
     cached_kuser,
     cached_traditional,
     decodes_demand,
+    xor_rows,
 )
 from d2dcache.adapters import adapt_request_random, rotate_2rr1s
 from d2dcache.catalog import CornerPointId
@@ -29,7 +30,6 @@ from d2dcache.model import (
     permute_scheme,
     requesters_of,
     senders_of,
-    xor_rows,
 )
 from d2dcache.sharing import symmetrize
 

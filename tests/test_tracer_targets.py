@@ -2,7 +2,8 @@
 
 `benchmarks/tracer.py` wraps each TARGETS entry by looking it up in its
 owner's `__dict__`, so a rename in the package breaks `run.py --trace 1`.
-This check keeps such a rename from passing the package's own tests.
+This check keeps such a rename from passing the package's own tests, and
+so does the check of the names `benchmarks/tests/test_benchmark.py` reads.
 """
 
 import importlib
@@ -30,4 +31,20 @@ def test_every_tracer_target_is_defined_where_it_is_hooked():
             owner = getattr(owner, part, None)
         if owner is None or name not in vars(owner):
             missing.append(f"{module_name}.{path}")
+    assert missing == []
+
+
+# Package names that benchmarks/tests/test_benchmark.py reads directly, as
+# (module, attribute): test_tracer_restores_the_program compares them before
+# and after a traced pass.
+BENCHMARK_READS = (
+    ("d2dcache.catalog", "solve_in_rowspace"),
+    ("d2dcache.io", "_BUILTINS"),
+    ("d2dcache.field", "RowSpan"),
+)
+
+
+def test_every_name_the_benchmark_tests_read_is_defined():
+    missing = [f"{module_name}.{name}" for module_name, name in BENCHMARK_READS
+               if name not in vars(importlib.import_module(module_name))]
     assert missing == []
