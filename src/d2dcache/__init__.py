@@ -40,6 +40,7 @@ from .model import (
     Demand,
     LinearScheme,
     ModelKind,
+    OrbitScheme,
     SenderSignal,
     enumerate_demands,
     permute_scheme,
@@ -53,7 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundLine", "CornerPointId", "Demand", "FakeAssignment", "FieldMatrix",
-    "FieldSpec", "GF2", "LinearScheme", "ModelKind", "PrunedSignal",
+    "FieldSpec", "GF2", "LinearScheme", "ModelKind", "OrbitScheme", "PrunedSignal",
     "RandomRequestProfile", "RatePoint", "RequestRandomAdaptation",
     "SenderSignal", "SymmetrizedScheme", "TradeoffCurve",
     "VerificationReport", "adapt_request_random", "average_rate",

@@ -1,36 +1,44 @@
 """Constructors for every built-in caching/delivery scheme.
 
-Each builder returns a LinearScheme whose verified memory and worst-case
-rate land exactly on the advertised corner point.  Builders write rows as
+Each builder returns a scheme whose verified memory and worst-case rate
+land exactly on the advertised corner point.  Builders write rows as
 binary images: symbol (n, l) is `unit_image(N, L, n, l)` and a sum of
 symbols is the XOR of their images.  A delivery row designed in symbol
-space is expressed over the sender's cache with the echelon cached on its
-placement (`_echelon.express`), whose coefficient mask is the encoding
-row's image, so a construction bug surfaces as an EncodingError instead of
-a bad scheme.  The kuser/mds builder sends cached rows as they are and
-writes their coefficients directly.
+space is expressed over the sender's cache (`model.encoded_signal`), so a
+construction bug surfaces as an EncodingError instead of a bad scheme.
+
+Most builders index their delivery rows by requester, so relabelling the
+files of a demand relabels its rows.  They write one delivery per file
+pattern and return an OrbitScheme.  Two stay explicit LinearSchemes,
+because moved rows would come out in another order than they write:
+kuser/mds sends cached rows in ascending file order as they are, and
+n2-7-8 lists fixed symbols.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
-from .errors import ConfigurationError, EncodingError
+from .errors import ConfigurationError
 from .field import GF2, FieldMatrix, FieldSpec, mds_generator, min_extension_degree
 # unused here; benchmarks/tests/test_benchmark.py::test_tracer_restores_the_program reads it
 from .field import solve_in_rowspace  # noqa: F401
 from .model import (
-    Demand,
     LinearScheme,
     ModelKind,
+    OrbitScheme,
     SenderSignal,
+    demand_count,
+    encoded_signal,
     enumerate_demands,
-    idle_counts,
+    enumerate_patterns,
     senders_of,
     unit_image,
 )
+
+Scheme = Union[LinearScheme, OrbitScheme]
 
 __all__ = [
     "CornerPointId",
@@ -74,37 +82,16 @@ def corner_value(point: CornerPointId, N: int, K: int = 3, s: int = 1) -> tuple[
     raise ConfigurationError(f"unknown corner point {point}")
 
 
-def _signal(P: FieldMatrix, images: Sequence[int],
-            serves: Optional[Sequence[Optional[tuple[int, ...]]]] = None) -> SenderSignal:
-    """Encoding rows that put the symbol-space images on the air from cache P."""
-    echelon = P._echelon
-    coeffs = []
-    for image in images:
-        c = echelon.express(image)
-        if c is None:
-            raise EncodingError("delivery row is outside the sender's cache row space")
-        coeffs.append(c)
-    mat = FieldMatrix(P.spec, len(coeffs), P.nrows, tuple(coeffs))
-    return SenderSignal(mat, tuple(serves) if serves is not None else None)
-
-
 def _idle_signals(placement: Sequence[FieldMatrix]) -> tuple[SenderSignal, ...]:
     """One empty signal per user, shared by every demand in which it sends nothing."""
     return tuple(SenderSignal(FieldMatrix.empty(P.spec, P.nrows)) for P in placement)
-
-
-def _empty_delivery(model: ModelKind, N: int, K: int, s: Optional[int],
-                    placement: Sequence[FieldMatrix]) -> dict[Demand, dict[int, SenderSignal]]:
-    idle = _idle_signals(placement)
-    return {d: {k: idle[k - 1] for k in senders_of(d)}
-            for d in enumerate_demands(model, N, K, s)}
 
 
 # ---------------------------------------------------------------------------
 # Two random requesters, one sender (K = 3)
 # ---------------------------------------------------------------------------
 
-def build_2rr1s_scheme(point: CornerPointId, N: int) -> LinearScheme:
+def build_2rr1s_scheme(point: CornerPointId, N: int) -> Scheme:
     if N < 2:
         raise ConfigurationError("need at least two files")
     if point is CornerPointId.FULL:
@@ -122,10 +109,12 @@ def build_2rr1s_scheme(point: CornerPointId, N: int) -> LinearScheme:
     raise ConfigurationError(f"{point.value} is not a two-requester corner point")
 
 
-def _full_scheme(model: ModelKind, N: int, K: int, s: Optional[int]) -> LinearScheme:
+def _full_scheme(model: ModelKind, N: int, K: int, s: Optional[int]) -> OrbitScheme:
     placement = tuple(FieldMatrix.identity(GF2, N) for _ in range(K))
-    delivery = _empty_delivery(model, N, K, s, placement)
-    return LinearScheme(model, N, K, s, 1, GF2, placement, delivery)
+    idle = _idle_signals(placement)
+    patterns = {d: {k: idle[k - 1] for k in senders_of(d)}
+                for d in enumerate_patterns(model, N, K, s)}
+    return OrbitScheme(model, N, K, s, 1, GF2, placement, patterns)
 
 
 def _cache(N: int, L: int, images: Sequence[int]) -> FieldMatrix:
@@ -133,7 +122,7 @@ def _cache(N: int, L: int, images: Sequence[int]) -> FieldMatrix:
     return FieldMatrix(GF2, len(images), N * L, tuple(images))
 
 
-def _mds_half(N: int) -> LinearScheme:
+def _mds_half(N: int) -> OrbitScheme:
     L = 2
     u = lambda n, l: unit_image(N, L, n, l)
     files = range(1, N + 1)
@@ -142,8 +131,8 @@ def _mds_half(N: int) -> LinearScheme:
     P2 = _cache(N, L, [u(n, 1) for n in files])
     P3 = _cache(N, L, [u(n, 2) for n in files])
     placement = (P1, P2, P3)
-    delivery = {}
-    for d in enumerate_demands(ModelKind.TWO_RR_ONE_S, N, 3, 1):
+    patterns = {}
+    for d in enumerate_patterns(ModelKind.TWO_RR_ONE_S, N, 3, 1):
         d1, d2, d3 = d
         if d1 == 0:
             rows = [parity[d2], parity[d3]]
@@ -157,11 +146,11 @@ def _mds_half(N: int) -> LinearScheme:
             rows = [u(d1, 2), u(d2, 2)]
             serves = [(1,), (2,)]
             sender = 3
-        delivery[d] = {sender: _signal(placement[sender - 1], rows, serves)}
-    return LinearScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, delivery)
+        patterns[d] = {sender: encoded_signal(placement[sender - 1], rows, serves)}
+    return OrbitScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, patterns)
 
 
-def _man_two_thirds(N: int) -> LinearScheme:
+def _man_two_thirds(N: int) -> OrbitScheme:
     # subfile slots: 1 <-> {1,2}, 2 <-> {1,3}, 3 <-> {2,3}
     L = 3
     u = lambda n, l: unit_image(N, L, n, l)
@@ -170,8 +159,8 @@ def _man_two_thirds(N: int) -> LinearScheme:
         _cache(N, L, [u(n, sl) for n in range(1, N + 1) for sl in slots_of_user[k]])
         for k in (1, 2, 3)
     )
-    delivery = {}
-    for d in enumerate_demands(ModelKind.TWO_RR_ONE_S, N, 3, 1):
+    patterns = {}
+    for d in enumerate_patterns(ModelKind.TWO_RR_ONE_S, N, 3, 1):
         d1, d2, d3 = d
         if d1 == 0:
             row = u(d2, 2) ^ u(d3, 1)
@@ -182,11 +171,11 @@ def _man_two_thirds(N: int) -> LinearScheme:
         else:
             row = u(d1, 3) ^ u(d2, 2)
             sender = 3
-        delivery[d] = {sender: _signal(placement[sender - 1], [row])}
-    return LinearScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, delivery)
+        patterns[d] = {sender: encoded_signal(placement[sender - 1], [row])}
+    return OrbitScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, patterns)
 
 
-def _half_rate(N: int) -> LinearScheme:
+def _half_rate(N: int) -> OrbitScheme:
     """Chained coded placement at memory (4N-1)/6 and constant rate 1/2.
 
     Per user the layout keeps, for every file, one coded pair and two
@@ -207,8 +196,8 @@ def _half_rate(N: int) -> LinearScheme:
         return _cache(N, L, out)
 
     placement = (cache((1, 2), (4, 5), 2), cache((3, 4), (1, 6), 4), cache((5, 6), (2, 3), 6))
-    delivery = {}
-    for d in enumerate_demands(ModelKind.TWO_RR_ONE_S, N, 3, 1):
+    patterns = {}
+    for d in enumerate_patterns(ModelKind.TWO_RR_ONE_S, N, 3, 1):
         d1, d2, d3 = d
         if d1 == 0:
             rows = [u(d2, 2) ^ u(d3, 1), u(d3, 4), u(d2, 5)]
@@ -219,8 +208,8 @@ def _half_rate(N: int) -> LinearScheme:
         else:
             rows = [u(d1, 6) ^ u(d2, 5), u(d2, 2), u(d1, 3)]
             sender = 3
-        delivery[d] = {sender: _signal(placement[sender - 1], rows)}
-    return LinearScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, delivery)
+        patterns[d] = {sender: encoded_signal(placement[sender - 1], rows)}
+    return OrbitScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, patterns)
 
 
 def _n2_seven_eighths() -> LinearScheme:
@@ -259,7 +248,7 @@ def _n2_seven_eighths() -> LinearScheme:
             else:
                 rows = [W[d1](8), A(2), B(2), A(3), B(3), A(5) ^ B(6), A(6) ^ B(5)]
             sender = 3
-        delivery[d] = {sender: _signal(placement[sender - 1], rows)}
+        delivery[d] = {sender: encoded_signal(placement[sender - 1], rows)}
     return LinearScheme(ModelKind.TWO_RR_ONE_S, 2, 3, 1, L, GF2, placement, delivery)
 
 
@@ -267,7 +256,7 @@ def _n2_seven_eighths() -> LinearScheme:
 # Traditional three-user model (every user requests and transmits)
 # ---------------------------------------------------------------------------
 
-def build_traditional_scheme(point: CornerPointId, N: int) -> LinearScheme:
+def build_traditional_scheme(point: CornerPointId, N: int) -> OrbitScheme:
     if point is not CornerPointId.TRAD_CODED_ONE_ONE or N != 2:
         raise ConfigurationError("only the N=2 coded (1, 1) design is cataloged")
     L = 6
@@ -278,25 +267,26 @@ def build_traditional_scheme(point: CornerPointId, N: int) -> LinearScheme:
     P3 = _cache(N, L, [A(5) ^ B(5), A(6) ^ B(6), A(1), A(2), B(1), B(2)])
     placement = (P1, P2, P3)
     W = {1: A, 2: B}
-    delivery = {}
-    for d in enumerate_demands(ModelKind.TRADITIONAL_D2D, N, 3, 0):
+    patterns = {}
+    for d in enumerate_patterns(ModelKind.TRADITIONAL_D2D, N, 3, 0):
         d1, d2, d3 = d
-        delivery[d] = {
-            1: _signal(P1, [W[d3](3), W[d3](4)], [(3,), (3,)]),
-            2: _signal(P2, [W[d1](5), W[d1](6)], [(1,), (1,)]),
-            3: _signal(P3, [W[d2](1), W[d2](2)], [(2,), (2,)]),
+        patterns[d] = {
+            1: encoded_signal(P1, [W[d3](3), W[d3](4)], [(3,), (3,)]),
+            2: encoded_signal(P2, [W[d1](5), W[d1](6)], [(1,), (1,)]),
+            3: encoded_signal(P3, [W[d2](1), W[d2](2)], [(2,), (2,)]),
         }
-    return LinearScheme(ModelKind.TRADITIONAL_D2D, N, 3, 0, L, GF2, placement, delivery)
+    return OrbitScheme(ModelKind.TRADITIONAL_D2D, N, 3, 0, L, GF2, placement, patterns)
 
 
 # ---------------------------------------------------------------------------
 # K users, s designated senders
 # ---------------------------------------------------------------------------
 
-def build_kuser_scheme(point: CornerPointId, N: int, K: int, s: int) -> LinearScheme:
+def build_kuser_scheme(point: CornerPointId, N: int, K: int, s: int) -> Scheme:
     if N < 2:
         raise ConfigurationError("need at least two files")
-    idle_counts(ModelKind.K_USER_S_SENDERS, N, K, s)
+    # checked before any placement is built, which can be as large as N * K^2 rows
+    demand_count(ModelKind.K_USER_S_SENDERS, N, K, s)
     if point is CornerPointId.KU_FULL:
         return _full_scheme(ModelKind.K_USER_S_SENDERS, N, K, s)
     if point is CornerPointId.KU_MDS:
@@ -328,7 +318,7 @@ def _kuser_mds(N: int, K: int, s: int) -> LinearScheme:
     return LinearScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, spec, placement, delivery)
 
 
-def _kuser_man(N: int, K: int, s: int) -> LinearScheme:
+def _kuser_man(N: int, K: int, s: int) -> OrbitScheme:
     L = K
     u = lambda n, l: unit_image(N, L, n, l)
     placement = tuple(
@@ -336,16 +326,16 @@ def _kuser_man(N: int, K: int, s: int) -> LinearScheme:
         for k in range(1, K + 1)
     )
     idle = _idle_signals(placement)
-    delivery = {}
-    for d in enumerate_demands(ModelKind.K_USER_S_SENDERS, N, K, s):
+    patterns = {}
+    for d in enumerate_patterns(ModelKind.K_USER_S_SENDERS, N, K, s):
         # user k misses subfile k; the lead sender XORs every requester's missing subfile
         row = 0
         for k, f in enumerate(d, start=1):
             if f:
                 row ^= u(f, k)
         lead, *rest = senders_of(d)
-        per_sender = {lead: _signal(placement[lead - 1], [row])}
+        per_sender = {lead: encoded_signal(placement[lead - 1], [row])}
         for k in rest:
             per_sender[k] = idle[k - 1]
-        delivery[d] = per_sender
-    return LinearScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, GF2, placement, delivery)
+        patterns[d] = per_sender
+    return OrbitScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, GF2, placement, patterns)

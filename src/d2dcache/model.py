@@ -18,18 +18,37 @@ traditional     any     None or 0   0                all users
 kuser           any     1..K-2      s                the s idle users
 request_random  3       any         0..3             idle users, or all
 ==============  ======  ==========  ===============  ====================
+
+A file permutation pi relabels symbol (n, l) as (pi(n), l).  Demands with
+the same first-appearance file pattern (`canonical_file_pattern`) form one
+orbit under such relabellings, and the pattern itself is the orbit's first
+demand in enumeration order.  Two scheme forms share one accessor surface:
+
+- `LinearScheme` stores a delivery for every demand;
+- `OrbitScheme` stores one delivery per pattern.  Its placement must pass
+  the file-invariance test (`file_symmetric`), so every cache span is
+  fixed by every pi, and the delivery of d = pi(pattern) is by definition
+  the pattern's transmitted rows moved by pi (`file_relabelling`,
+  `move_files`).  Its `delivery` expresses them over each sender's cache,
+  for every demand at once, the first time it is read.
+
+Every demand is listed and reported, so the demand count is capped at
+`DEMAND_BUDGET` before anything is enumerated.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import ConfigurationError
-from .field import FieldMatrix, FieldSpec
+from .errors import ConfigurationError, EncodingError, ResourceBudgetError
+from .field import FieldMatrix, FieldSpec, RowSpan
 
 Demand = tuple[int, ...]
 
@@ -57,6 +76,8 @@ def idle_counts(model: ModelKind, N: int, K: int, s: Optional[int]) -> Sequence[
     required_K, s_ok, idle = _MODELS[model]
     if N < 1:
         raise ConfigurationError("N must be positive")
+    if K < 1:
+        raise ConfigurationError("K must be positive")
     if required_K is not None and K != required_K:
         raise ConfigurationError(f"{model.value} model requires K={required_K}, got K={K}")
     if not s_ok(K, s):
@@ -96,17 +117,111 @@ def canonical_file_pattern(d: Demand) -> Demand:
     return tuple(out)
 
 
+# Largest demand count a model instance may have.  Every demand gets its own
+# report entry, so this bounds the work and memory of `verify`.
+DEMAND_BUDGET = 10 ** 6
+
+
+def demand_count(model: ModelKind, N: int, K: int, s: Optional[int] = None) -> int:
+    """Check the model parameters; the number of demands, sum over z of C(K, z) * N^(K-z).
+
+    Raises ResourceBudgetError when it exceeds DEMAND_BUDGET.
+    """
+    limit = math.log(DEMAND_BUDGET) + 1
+    total = 0
+    for z in idle_counts(model, N, K, s):
+        # a term far over the budget is recognised from its logarithm, not computed
+        log_term = (math.lgamma(K + 1) - math.lgamma(z + 1) - math.lgamma(K - z + 1)
+                    + (K - z) * math.log(N))
+        total += math.comb(K, z) * N ** (K - z) if log_term <= limit else DEMAND_BUDGET + 1
+        if total > DEMAND_BUDGET:
+            raise ResourceBudgetError(
+                f"{model.value} model with N={N}, K={K}, s={s} has more than "
+                f"{DEMAND_BUDGET} demands")
+    return total
+
+
+def _with_idle(files: Sequence[int], idle: Sequence[int]) -> Demand:
+    d = list(files)
+    for i in idle:  # ascending, so each 0 lands at its final index
+        d.insert(i, 0)
+    return tuple(d)
+
+
 def enumerate_demands(model: ModelKind, N: int, K: int, s: Optional[int] = None) -> list[Demand]:
     """Deterministic lexicographic demand list for a model."""
+    demand_count(model, N, K, s)
     out = []
     for z in idle_counts(model, N, K, s):
         for idle in itertools.combinations(range(K), z):
             for files in itertools.product(range(1, N + 1), repeat=K - z):
-                d = list(files)
-                for i in idle:  # ascending, so each 0 lands at its final index
-                    d.insert(i, 0)
-                out.append(tuple(d))
+                out.append(_with_idle(files, idle))
     return sorted(out)
+
+
+def enumerate_patterns(model: ModelKind, N: int, K: int, s: Optional[int] = None) -> list[Demand]:
+    """The canonical file pattern of every demand, in lexicographic order.
+
+    A pattern numbers files by first appearance, so its requests form a
+    string in which each entry is at most one more than the largest before it.
+    """
+    demand_count(model, N, K, s)
+    out = []
+    for z in idle_counts(model, N, K, s):
+        strings: list[tuple[int, ...]] = [()]
+        for _ in range(K - z):
+            strings = [t + (v,) for t in strings
+                       for v in range(1, min(max(t, default=0) + 1, N) + 1)]
+        for idle in itertools.combinations(range(K), z):
+            out.extend(_with_idle(files, idle) for files in strings)
+    return sorted(out)
+
+
+def file_relabelling(rep: Demand, d: Demand, N: int) -> list[int]:
+    """A 0-based file permutation pi with d = pi(rep), entry by entry.
+
+    Files that rep does not request go to the files d does not request,
+    both in ascending order.
+    """
+    perm: list[Optional[int]] = [None] * N
+    for a, b in zip(rep, d):
+        if a:
+            perm[a - 1] = b - 1
+    if None in perm:
+        spare = iter(sorted(set(range(N)).difference(perm)))
+        perm = [next(spare) if p is None else p for p in perm]
+    return perm
+
+
+def move_files(image: int, perm: Sequence[int], block: int) -> int:
+    """A binary image with the block of file n moved to block perm[n] (0-based)."""
+    lane = (1 << block) - 1
+    out = 0
+    while image:  # one step per file the image touches
+        n = ((image & -image).bit_length() - 1) // block
+        out |= (image >> n * block & lane) << perm[n] * block
+        image &= ~(lane << n * block)
+    return out
+
+
+def file_symmetric(placement: Sequence[FieldMatrix], spans: Sequence[RowSpan], N: int,
+                   L: int) -> bool:
+    """True when every user's cache row space is invariant under every file permutation.
+
+    spans[k] must span placement[k].  The transposition (1 2) and the
+    N-cycle generate S_N, so it suffices that each of them maps every cache
+    row back into its user's span.
+    """
+    if N < 2:
+        return True
+    block = L * placement[0].spec.m
+    generators = dict.fromkeys([(1, 0, *range(2, N)), (*range(1, N), 0)])
+    return all(
+        span.contains(move_files(image, perm, block))
+        for P, span in zip(placement, spans)
+        for perm in generators
+        for image in P.images
+    )
 
 
 @dataclass(frozen=True)
@@ -153,9 +268,26 @@ def unit_image(N: int, L: int, n: int, l: int, m: int = 1) -> int:
     return 1 << symbol_col(N, L, n, l) * m
 
 
-@dataclass(frozen=True)
-class LinearScheme:
-    """A complete linear caching-and-delivery design."""
+def encoded_signal(P: FieldMatrix, images: Sequence[int],
+                   serves: Optional[Sequence[Optional[tuple[int, ...]]]] = None) -> SenderSignal:
+    """Encoding rows that put the symbol-space images on the air from cache P.
+
+    Each image is expressed with the echelon cached on P, whose coefficient
+    mask is the encoding row's image.
+    """
+    echelon = P._echelon
+    coeffs = []
+    for image in images:
+        c = echelon.express(image)
+        if c is None:
+            raise EncodingError("delivery row is outside the sender's cache row space")
+        coeffs.append(c)
+    mat = FieldMatrix(P.spec, len(coeffs), P.nrows, tuple(coeffs))
+    return SenderSignal(mat, tuple(serves) if serves is not None else None)
+
+
+class _Placement:
+    """Placement checks and accessors shared by both scheme forms."""
 
     model: ModelKind
     N: int
@@ -164,9 +296,9 @@ class LinearScheme:
     L: int
     field: FieldSpec
     placement: tuple[FieldMatrix, ...]
-    delivery: dict[Demand, dict[int, SenderSignal]]
 
-    def __post_init__(self):
+    def _check_placement(self) -> Sequence[int]:
+        """Check the parameters and placement; return the allowed idle counts."""
         idle = idle_counts(self.model, self.N, self.K, self.s)
         if self.L < 1:
             raise ConfigurationError("L must be positive")
@@ -175,27 +307,26 @@ class LinearScheme:
         cols = self.symbol_count
         for k, P in enumerate(self.placement, start=1):
             if P.ncols != cols:
-                raise ConfigurationError(f"user {k} placement has {P.ncols} columns, expected {cols}")
+                raise ConfigurationError(
+                    f"user {k} placement has {P.ncols} columns, expected {cols}")
             if P.spec != self.field:
                 raise ConfigurationError(f"user {k} placement uses a different field")
-        for d, per_sender in self.delivery.items():
-            if len(d) != self.K or d.count(0) not in idle:
-                raise ConfigurationError(f"demand {d} has an invalid zero pattern")
-            if any(not 0 <= v <= self.N for v in d):
-                raise ConfigurationError(f"demand {d} requests a file outside 1..{self.N}")
-            expected = set(senders_of(d))
-            if set(per_sender) != expected:
+        return idle
+
+    def _check_signals(self, d: Demand, per_sender: Mapping[int, SenderSignal]) -> None:
+        expected = set(senders_of(d))
+        if set(per_sender) != expected:
+            raise ConfigurationError(
+                f"demand {d}: senders {sorted(per_sender)} != expected {sorted(expected)}"
+            )
+        for k, sig in per_sender.items():
+            if sig.matrix.ncols != self.placement[k - 1].nrows:
                 raise ConfigurationError(
-                    f"demand {d}: senders {sorted(per_sender)} != expected {sorted(expected)}"
+                    f"demand {d} sender {k}: encoding width {sig.matrix.ncols} "
+                    f"!= cache rows {self.placement[k - 1].nrows}"
                 )
-            for k, sig in per_sender.items():
-                if sig.matrix.ncols != self.placement[k - 1].nrows:
-                    raise ConfigurationError(
-                        f"demand {d} sender {k}: encoding width {sig.matrix.ncols} "
-                        f"!= cache rows {self.placement[k - 1].nrows}"
-                    )
-                if sig.raw_rows is not None and sig.raw_rows.ncols != cols:
-                    raise ConfigurationError(f"demand {d} sender {k}: raw row width mismatch")
+            if sig.raw_rows is not None and sig.raw_rows.ncols != self.symbol_count:
+                raise ConfigurationError(f"demand {d} sender {k}: raw row width mismatch")
 
     @property
     def symbol_count(self) -> int:
@@ -209,6 +340,29 @@ class LinearScheme:
 
     def memory(self, k: int) -> Fraction:
         return Fraction(self.placement_rows(k), self.L)
+
+
+@dataclass(frozen=True)
+class LinearScheme(_Placement):
+    """A complete linear caching-and-delivery design with a delivery per demand."""
+
+    model: ModelKind
+    N: int
+    K: int
+    s: Optional[int]
+    L: int
+    field: FieldSpec
+    placement: tuple[FieldMatrix, ...]
+    delivery: dict[Demand, dict[int, SenderSignal]]
+
+    def __post_init__(self):
+        idle = self._check_placement()
+        for d, per_sender in self.delivery.items():
+            if len(d) != self.K or d.count(0) not in idle:
+                raise ConfigurationError(f"demand {d} has an invalid zero pattern")
+            if any(not 0 <= v <= self.N for v in d):
+                raise ConfigurationError(f"demand {d} requests a file outside 1..{self.N}")
+            self._check_signals(d, per_sender)
 
     def delivery_row_counts(self, d: Demand) -> dict[int, int]:
         return {k: sig.row_count for k, sig in self.delivery[d].items()}
@@ -229,6 +383,104 @@ class LinearScheme:
     @property
     def encoding_clean(self) -> bool:
         return all(sig.clean for per in self.delivery.values() for sig in per.values())
+
+
+@dataclass(frozen=True)
+class OrbitScheme(_Placement):
+    """A design whose delivery is stored once per file pattern.
+
+    ``patterns`` maps each canonical file pattern of the model's demands
+    to its senders' signals; the pattern is its own orbit's representative.
+    The delivery of d = pi(pattern) is the pattern's transmitted rows moved
+    by pi.  The constructor checks that the placement is file-symmetric, so
+    those rows lie in each sender's cache span, and that no pattern holds
+    raw rows.
+    """
+
+    model: ModelKind
+    N: int
+    K: int
+    s: Optional[int]
+    L: int
+    field: FieldSpec
+    placement: tuple[FieldMatrix, ...]
+    patterns: dict[Demand, dict[int, SenderSignal]]
+
+    def __post_init__(self):
+        self._check_placement()
+        if set(self.patterns) != set(enumerate_patterns(self.model, self.N, self.K, self.s)):
+            raise ConfigurationError("patterns must be exactly the canonical file patterns "
+                                     "of the model's demands")
+        for d, per_sender in self.patterns.items():
+            self._check_signals(d, per_sender)
+            if not all(sig.clean for sig in per_sender.values()):
+                raise ConfigurationError(f"pattern {d} holds raw rows")
+        if not file_symmetric(self.placement, [P._echelon for P in self.placement],
+                              self.N, self.L):
+            raise ConfigurationError("placement is not invariant under file relabelling")
+
+    def _pattern(self, d: Demand) -> Demand:
+        """d's pattern; KeyError when d is not a demand of the model."""
+        pattern = canonical_file_pattern(d)
+        if (len(d) != self.K or not all(0 <= v <= self.N for v in d)
+                or pattern not in self.patterns):
+            raise KeyError(d)
+        return pattern
+
+    @functools.cached_property
+    def _pattern_images(self) -> dict[Demand, dict[int, tuple[int, ...]]]:
+        """Each pattern's transmitted images per sender."""
+        return {d: {k: sig.matrix.matmul(self.placement[k - 1]).images
+                    for k, sig in per_sender.items()}
+                for d, per_sender in self.patterns.items()}
+
+    def _moved_images(self, pattern: Demand, d: Demand) -> dict[int, tuple[int, ...]]:
+        """Per sender, the pattern's transmitted images moved onto d, a demand of its orbit."""
+        sent = self._pattern_images[pattern]
+        if d == pattern:
+            return sent
+        perm = file_relabelling(pattern, d, self.N)
+        block = self.L * self.field.m
+        return {k: tuple([move_files(image, perm, block) for image in images])
+                for k, images in sent.items()}
+
+    def delivery_row_counts(self, d: Demand) -> dict[int, int]:
+        return {k: sig.row_count for k, sig in self.patterns[self._pattern(d)].items()}
+
+    def transmitted_rows(self, d: Demand) -> dict[int, FieldMatrix]:
+        """The pattern's transmitted rows, each moved by the relabelling that maps it onto d."""
+        cols = self.symbol_count
+        return {k: FieldMatrix(self.field, len(images), cols, images)
+                for k, images in self._moved_images(self._pattern(d), d).items()}
+
+    @functools.cached_property
+    def delivery(self) -> Mapping[Demand, dict[int, SenderSignal]]:
+        """Every demand's delivery, read-only, built once on first access.
+
+        A pattern keeps its stored signals.  Another demand's signals express
+        its moved rows over each sender's cached echelon; they keep the
+        pattern's serves tags, and a sender with no rows keeps the pattern's
+        (shared) signal.
+        """
+        out = {}
+        for d in enumerate_demands(self.model, self.N, self.K, self.s):
+            pattern = canonical_file_pattern(d)
+            stored = self.patterns[pattern]
+            if d == pattern:
+                out[d] = stored
+                continue
+            moved = self._moved_images(pattern, d)
+            out[d] = {k: encoded_signal(self.placement[k - 1], moved[k], sig.serves)
+                      if sig.matrix.nrows else sig
+                      for k, sig in stored.items()}
+        return MappingProxyType(out)
+
+    def delivery_demands(self) -> Iterable[Demand]:
+        return enumerate_demands(self.model, self.N, self.K, self.s)
+
+    @property
+    def encoding_clean(self) -> bool:
+        return True  # the constructor refuses raw rows
 
 
 def _as_perm(perm: Sequence[int], n: int, what: str) -> tuple[int, ...]:

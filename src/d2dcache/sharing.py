@@ -169,10 +169,7 @@ class SymmetrizedScheme:
             for fp in itertools.permutations(range(1, base.N + 1))
         ]
         self._demands = enumerate_demands(base.model, base.N, base.K, base.s)
-        self._base_sender_rows = {
-            d: {k: sig.row_count for k, sig in base.delivery[d].items()}
-            for d in base.delivery
-        }
+        self._base_sender_rows = {d: base.delivery_row_counts(d) for d in base.delivery_demands()}
         self._user_perms = list(itertools.permutations(range(1, base.K + 1)))
         self._orbit_cache: dict[tuple[Demand, int], int] = {}
         self._base_signal_cache: dict[Demand, dict[int, FieldMatrix]] = {}
@@ -195,25 +192,20 @@ class SymmetrizedScheme:
         return math.factorial(self.N) * math.factorial(self.K - 1) * total
 
     def _relabel_sum(self, pattern: Demand, sender: int) -> int:
-        """Sum of base sender-row counts over all file relabelings of pattern."""
+        """Sum of base sender-row counts over all file relabelings of pattern.
+
+        The pattern requests files 1..r, so each relabelling is fixed by the
+        images of those r files and is counted (N-r)! times.
+        """
         key = (pattern, sender)
         cached = self._orbit_cache.get(key)
-        if cached is not None:
-            return cached
-        distinct = []
-        for v in pattern:
-            if v != 0 and v not in distinct:
-                distinct.append(v)
-        r = len(distinct)
-        mult = math.factorial(self.N - r)
-        total = 0
-        for image in itertools.permutations(range(1, self.N + 1), r):
-            relabel = dict(zip(distinct, image))
-            mapped = tuple(0 if v == 0 else relabel[v] for v in pattern)
-            total += self._base_sender_rows[mapped][sender]
-        total *= mult
-        self._orbit_cache[key] = total
-        return total
+        if cached is None:
+            users = tuple(range(1, self.K + 1))
+            r = max(pattern)
+            total = sum(self._base_sender_rows[apply_demand_perm(pattern, users, image)][sender]
+                        for image in itertools.permutations(range(1, self.N + 1), r))
+            cached = self._orbit_cache[key] = total * math.factorial(self.N - r)
+        return cached
 
     def delivery_row_counts(self, d: Demand) -> dict[int, int]:
         identity_fp = tuple(range(1, self.N + 1))

@@ -9,15 +9,23 @@ for every demand.
 Demands are decided once per file-relabelling orbit when the placement
 allows it.  A file permutation pi moves symbol (n, l) to (pi(n), l).  If
 every user's cache row space is invariant under the transposition (1 2)
-and the N-cycle, which generate S_N, it is invariant under every pi.
-Demands with the same first-appearance file pattern form one orbit, and
-the first one met gets the full check.  A later demand d = pi(rep) reuses
-that verdict only when its transmitted rows, as a multiset, are exactly
-the pi-images of the representative's.  Then the cache spans, the
-transmitted span and the requested unit selectors all move under the same
-pi, so each requester decodes iff it did for the representative.  Any
-other demand, and every demand of a scheme that fails the invariance
-test, gets the full check.
+and the N-cycle, which generate S_N, it is invariant under every pi
+(`model.file_symmetric`).  Demands with the same first-appearance file
+pattern form one orbit, whose first demand is the pattern itself.
+
+- An OrbitScheme passed that test when it was built, and the delivery of
+  d = pi(pattern) is the pattern's delivery moved by pi by definition.
+  So only the patterns are multiplied out and decided, and every demand
+  takes its pattern's row counts and verdict.
+- An explicit scheme's pattern gets the full check.  A later demand
+  d = pi(rep) reuses that verdict only when its transmitted rows, as a
+  multiset, are exactly the pi-images of the representative's.  Any other
+  demand, and every demand of a scheme that fails the invariance test,
+  gets the full check.
+
+Either way the cache spans, the transmitted span and the requested unit
+selectors all move under the same pi, so each requester decodes iff it
+did for the representative.
 """
 
 from __future__ import annotations
@@ -25,15 +33,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .field import FieldMatrix, RowSpan
 from .model import (
     Demand,
     ModelKind,
+    OrbitScheme,
     canonical_file_pattern,
     enumerate_demands,
+    file_relabelling,
+    file_symmetric,
     idle_counts,
+    move_files,
     requesters_of,
     unit_image,
 )
@@ -141,25 +153,24 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
     ``check_decodability=False`` skips every rank computation (demand
     decoding and placement feasibility), leaving only the exact rational
     accounting; the corresponding report fields are None.  Works for any
-    object satisfying the LinearScheme accessor surface, including lazily
-    symmetrized schemes.
+    object satisfying the LinearScheme accessor surface, including
+    OrbitSchemes and lazily symmetrized schemes.
     """
     N, K, L = scheme.N, scheme.K, scheme.L
     demands = enumerate_demands(scheme.model, N, K, scheme.s)
-    covered = set(scheme.delivery_demands())
-    demand_coverage = covered == set(demands)
+    orbit_native = isinstance(scheme, OrbitScheme)
 
     memory = tuple(Fraction(scheme.placement_rows(k), L) for k in range(1, K + 1))
 
     placement_full_rank: Optional[bool] = None
     joint_recovery: Optional[bool] = None
-    user_spans: dict[int, RowSpan] = {}
-    orbits: Optional[dict[Demand, tuple]] = None
-    block = L * scheme.field.m  # bits of one file in a binary image
+    user_spans: Optional[dict[int, RowSpan]] = None
+    symmetric = False
     if check_decodability:
-        placements = {k: scheme.placement_matrix(k) for k in range(1, K + 1)}
+        user_spans = {}
+        placements = [scheme.placement_matrix(k) for k in range(1, K + 1)]
         placement_full_rank = True
-        for k, P in placements.items():
+        for k, P in enumerate(placements, start=1):
             span = RowSpan(scheme.field, P.ncols)
             span.add_matrix(P)
             user_spans[k] = span
@@ -170,37 +181,20 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
         for group in _recovery_groups(scheme):
             span = user_spans[group[0]].copy()
             for k in group[1:]:
-                span.add_matrix(placements[k])
+                span.add_matrix(placements[k - 1])
             if span.rank != total:
                 joint_recovery = False
                 break
-        if N > 1 and _file_symmetric(placements, user_spans, N, block):
-            orbits = {}  # pattern -> (representative, its sorted row images, its verdict)
+        symmetric = (not orbit_native and N > 1
+                     and file_symmetric(placements, list(user_spans.values()), N, L))
 
-    entries = []
-    worst = Fraction(0)
-    for d in demands:
-        if d not in covered:
-            entries.append(DemandReport(d, None, {}, False if check_decodability else None))
-            continue
-        sender_rows = scheme.delivery_row_counts(d)
-        rate = Fraction(sum(sender_rows.values()), L)
-        worst = max(worst, rate)
-        decodable: Optional[bool] = None
-        failed: tuple[int, ...] = ()
-        if check_decodability:
-            sent = scheme.transmitted_rows(d).values()
-            verdict = None
-            if orbits is not None:
-                images = sorted(image for mat in sent for image in mat.images)
-                pattern = canonical_file_pattern(d)
-                verdict = _reused_verdict(orbits.get(pattern), d, images, N, block)
-            if verdict is None:
-                verdict = _decide(scheme, user_spans, d, sent)
-                if orbits is not None:
-                    orbits.setdefault(pattern, (d, images, verdict))
-            decodable, failed = verdict
-        entries.append(DemandReport(d, rate, sender_rows, decodable, failed))
+    if orbit_native:
+        demand_coverage = True
+        entries, worst = _pattern_entries(scheme, demands, user_spans)
+    else:
+        covered = set(scheme.delivery_demands())
+        demand_coverage = covered == set(demands)
+        entries, worst = _demand_entries(scheme, demands, covered, user_spans, symmetric)
 
     return VerificationReport(
         model=scheme.model,
@@ -219,6 +213,68 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
     )
 
 
+def _pattern_entries(scheme: OrbitScheme, demands: list[Demand],
+                     user_spans: Optional[dict[int, RowSpan]],
+                     ) -> tuple[list[DemandReport], Fraction]:
+    """Each demand's report from its pattern's row counts and verdict, and the worst rate.
+
+    Only patterns are multiplied out and decided, each once.
+    """
+    by_pattern: dict[Demand, tuple] = {}
+    entries = []
+    for d in demands:
+        pattern = canonical_file_pattern(d)
+        known = by_pattern.get(pattern)
+        if known is None:
+            sender_rows = scheme.delivery_row_counts(pattern)
+            rate = Fraction(sum(sender_rows.values()), scheme.L)
+            verdict = (None, ())
+            if user_spans is not None:
+                verdict = _decide(scheme, user_spans, pattern,
+                                  scheme.transmitted_rows(pattern).values())
+            known = by_pattern[pattern] = (sender_rows, rate, verdict)
+        sender_rows, rate, (decodable, failed) = known
+        entries.append(DemandReport(d, rate, dict(sender_rows), decodable, failed))
+    return entries, max((rate for _, rate, _ in by_pattern.values()), default=Fraction(0))
+
+
+def _demand_entries(scheme, demands: list[Demand], covered: set[Demand],
+                    user_spans: Optional[dict[int, RowSpan]],
+                    symmetric: bool) -> tuple[list[DemandReport], Fraction]:
+    """Each demand's report from its own delivery, and the worst rate.
+
+    With a file-symmetric placement, a demand reuses its pattern's verdict
+    when its rows are exactly the pattern's rows relabelled.
+    """
+    orbits: Optional[dict[Demand, tuple]] = {} if symmetric else None
+    block = scheme.L * scheme.field.m  # bits of one file in a binary image
+    entries = []
+    worst = Fraction(0)
+    for d in demands:
+        if d not in covered:
+            entries.append(DemandReport(d, None, {}, False if user_spans is not None else None))
+            continue
+        sender_rows = scheme.delivery_row_counts(d)
+        rate = Fraction(sum(sender_rows.values()), scheme.L)
+        worst = max(worst, rate)
+        decodable: Optional[bool] = None
+        failed: tuple[int, ...] = ()
+        if user_spans is not None:
+            sent = scheme.transmitted_rows(d).values()
+            verdict = None
+            if orbits is not None:
+                images = sorted(image for mat in sent for image in mat.images)
+                pattern = canonical_file_pattern(d)
+                verdict = _reused_verdict(orbits.get(pattern), d, images, scheme.N, block)
+            if verdict is None:
+                verdict = _decide(scheme, user_spans, d, sent)
+                if orbits is not None:
+                    orbits.setdefault(pattern, (d, images, verdict))
+            decodable, failed = verdict
+        entries.append(DemandReport(d, rate, sender_rows, decodable, failed))
+    return entries, worst
+
+
 def _decide(scheme, user_spans: dict[int, RowSpan], d: Demand,
             sent: Iterable[FieldMatrix]) -> tuple[bool, tuple[int, ...]]:
     """Full check of one demand: (every requester decodes, the requesters that fail)."""
@@ -234,31 +290,6 @@ def _decide(scheme, user_spans: dict[int, RowSpan], d: Demand,
     return not failed, tuple(failed)
 
 
-def _move_files(image: int, perm: Sequence[int], block: int) -> int:
-    """A binary image with the block of file n moved to block perm[n] (0-based)."""
-    lane = (1 << block) - 1
-    out = 0
-    for n, target in enumerate(perm):
-        out |= (image >> n * block & lane) << target * block
-    return out
-
-
-def _file_symmetric(placements: dict[int, FieldMatrix], user_spans: dict[int, RowSpan],
-                    N: int, block: int) -> bool:
-    """True when every user's cache row space is invariant under every file permutation.
-
-    The transposition (1 2) and the N-cycle generate S_N, so it suffices
-    that each of them maps every cache row back into its user's span.
-    """
-    generators = dict.fromkeys([(1, 0, *range(2, N)), (*range(1, N), 0)])
-    return all(
-        user_spans[k].contains(_move_files(image, perm, block))
-        for k, P in placements.items()
-        for perm in generators
-        for image in P.images
-    )
-
-
 def _reused_verdict(seen: Optional[tuple], d: Demand, images: list[int], N: int,
                     block: int) -> Optional[tuple[bool, tuple[int, ...]]]:
     """The orbit representative's verdict, if d's rows are exactly its rows relabelled.
@@ -269,22 +300,8 @@ def _reused_verdict(seen: Optional[tuple], d: Demand, images: list[int], N: int,
     if seen is None:
         return None
     rep, rep_images, verdict = seen
-    perm = _relabelling(rep, d, N)
-    return verdict if images == sorted(_move_files(i, perm, block) for i in rep_images) else None
-
-
-def _relabelling(rep: Demand, d: Demand, N: int) -> list[int]:
-    """A 0-based file permutation pi with d = pi(rep), entry by entry.
-
-    Files that rep does not request go to the files d does not request,
-    both in ascending order.
-    """
-    perm: list[Optional[int]] = [None] * N
-    for a, b in zip(rep, d):
-        if a:
-            perm[a - 1] = b - 1
-    spare = iter(sorted(set(range(N)).difference(perm)))
-    return [next(spare) if p is None else p for p in perm]
+    perm = file_relabelling(rep, d, N)
+    return verdict if images == sorted(move_files(i, perm, block) for i in rep_images) else None
 
 
 def _file_decodable(span: RowSpan, N: int, L: int, file_id: int) -> bool:

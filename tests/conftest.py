@@ -85,6 +85,18 @@ def decodes_demand(scheme, d, users, signals=None):
     return True
 
 
+def placement_with_file_one_reversed(scheme):
+    """The scheme's placement with the subfiles of file 1 listed in reverse order.
+
+    Relabelling symbols inside one file moves every cache and transmitted
+    row and the file's unit selectors alike, so every verdict and rate is
+    unchanged; the cache spans, however, stop being file-symmetric.
+    """
+    N, L = scheme.N, scheme.L
+    col_map = [L - 1 - c if c < L else c for c in range(N * L)]
+    return tuple(P.map_columns(col_map, N * L) for P in scheme.placement)
+
+
 def rational_grid(lo, hi, step):
     """lo, lo+step, ... up to hi, with hi always the last point."""
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)

@@ -1,6 +1,7 @@
 """Interchange round-trips and the command-line surface."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,27 @@ def test_cli_verify_rejects_bad_document(tmp_path, capsys, change, expected):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert expected in err
+
+
+# 1000^10 demands: verify would list them without end
+HUGE_DOCUMENT = ('{"model":"traditional","N":1000,"K":10,"s":0,"L":1,"field_m":1,'
+                 '"placement":[[],[],[],[],[],[],[],[],[],[]],"delivery":{}}')
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "<huge document>"],
+    ["verify", "builtin:kuser/man", "--N", "1000", "--K", "20", "--s", "3"],
+    ["export", "builtin:kuser/mds", "--N", "1000", "--K", "20", "--s", "3"],
+])
+def test_cli_refuses_more_demands_than_the_budget(tmp_path, capsys, args):
+    path = tmp_path / "huge.json"
+    path.write_text(HUGE_DOCUMENT)
+    start = time.perf_counter()
+    assert main([str(path) if a == "<huge document>" else a for a in args]) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "demands" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_cli_verify_rejects_deeply_nested_json(tmp_path, capsys):

@@ -11,10 +11,15 @@ from d2dcache.catalog import CornerPointId
 from d2dcache.errors import ConfigurationError, ResourceBudgetError
 from d2dcache.field import GF2, FieldMatrix
 from d2dcache.model import (
+    DEMAND_BUDGET,
     LinearScheme,
     ModelKind,
     SenderSignal,
+    canonical_file_pattern,
+    demand_count,
     enumerate_demands,
+    enumerate_patterns,
+    idle_counts,
     permute_scheme,
     requesters_of,
     senders_of,
@@ -70,6 +75,44 @@ def test_inconsistent_parameters_rejected():
     ]:
         with pytest.raises(ConfigurationError):
             enumerate_demands(model, N, K, s)
+
+
+@pytest.mark.parametrize("model,N,K,s", [
+    (ModelKind.TWO_RR_ONE_S, 2, 3, 1),
+    (ModelKind.TRADITIONAL_D2D, 3, 2, 0),
+    (ModelKind.K_USER_S_SENDERS, 3, 5, 2),
+    (ModelKind.K_USER_S_SENDERS, 4, 6, 3),
+    (ModelKind.REQUEST_RANDOM, 3, 3, None),
+    (ModelKind.TRADITIONAL_D2D, 1, 4, 0),
+])
+def test_patterns_are_the_canonical_patterns_of_the_demands(model, N, K, s):
+    demands = enumerate_demands(model, N, K, s)
+    assert demand_count(model, N, K, s) == len(demands)
+    assert enumerate_patterns(model, N, K, s) == sorted({canonical_file_pattern(d)
+                                                         for d in demands})
+
+
+def test_demand_count_is_capped_before_enumeration():
+    # 10^6 demands exactly is allowed; one more user or file is not
+    assert demand_count(ModelKind.TRADITIONAL_D2D, 10, 6, 0) == DEMAND_BUDGET
+    for model, N, K, s in [
+        (ModelKind.TRADITIONAL_D2D, 10, 7, 0),
+        (ModelKind.TRADITIONAL_D2D, 11, 6, 0),
+        (ModelKind.TRADITIONAL_D2D, 1000, 10, 0),
+        (ModelKind.K_USER_S_SENDERS, 1000, 20, 3),
+        (ModelKind.K_USER_S_SENDERS, 2, 10 ** 9, 3),
+    ]:
+        for enumerate_ in (demand_count, enumerate_demands, enumerate_patterns):
+            with pytest.raises(ResourceBudgetError):
+                enumerate_(model, N, K, s)
+
+
+@pytest.mark.parametrize("K", [0, -1])
+def test_scheme_without_users_rejected(K):
+    with pytest.raises(ConfigurationError, match="K must be positive"):
+        idle_counts(ModelKind.TRADITIONAL_D2D, 2, K, 0)
+    with pytest.raises(ConfigurationError, match="K must be positive"):
+        verify(LinearScheme(ModelKind.TRADITIONAL_D2D, 2, K, 0, 1, GF2, (), {}))
 
 
 @pytest.mark.parametrize("L", [0, -1])

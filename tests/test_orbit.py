@@ -17,6 +17,7 @@ from conftest import (
     cached_kuser,
     cached_traditional,
     decodes_demand,
+    placement_with_file_one_reversed,
     xor_rows,
 )
 from d2dcache.adapters import adapt_request_random, rotate_2rr1s
@@ -27,6 +28,7 @@ from d2dcache.model import (
     ModelKind,
     SenderSignal,
     canonical_file_pattern,
+    file_symmetric,
     permute_scheme,
     requesters_of,
     senders_of,
@@ -94,13 +96,12 @@ def assert_matches_oracle(scheme, report):
 
 
 def _placement_symmetric(scheme) -> bool:
-    placements = {k: scheme.placement_matrix(k) for k in range(1, scheme.K + 1)}
-    spans = {}
-    for k, P in placements.items():
-        spans[k] = RowSpan(scheme.field, P.ncols)
-        spans[k].add_matrix(P)
-    return verify_mod._file_symmetric(placements, spans, scheme.N,
-                                      scheme.L * scheme.field.m)
+    placements = [scheme.placement_matrix(k) for k in range(1, scheme.K + 1)]
+    spans = []
+    for P in placements:
+        spans.append(RowSpan(scheme.field, P.ncols))
+        spans[-1].add_matrix(P)
+    return file_symmetric(placements, spans, scheme.N, scheme.L)
 
 
 def _invariant_under_every_permutation(scheme) -> bool:
@@ -117,17 +118,8 @@ def _invariant_under_every_permutation(scheme) -> bool:
 
 
 def _with_file_one_reversed(scheme) -> LinearScheme:
-    """The same design with the subfiles of file 1 listed in reverse order.
-
-    Relabelling symbols inside one file moves every cache and transmitted
-    row and the file's unit selectors alike, so every verdict and rate is
-    unchanged; the cache spans, however, stop being file-symmetric.
-    """
-    N, L = scheme.N, scheme.L
-    col_map = [L - 1 - c if c < L else c for c in range(N * L)]
-    placement = tuple(P.map_columns(col_map, N * L) for P in scheme.placement)
-    return LinearScheme(scheme.model, N, scheme.K, scheme.s, L, scheme.field,
-                        placement, scheme.delivery)
+    return LinearScheme(scheme.model, scheme.N, scheme.K, scheme.s, scheme.L, scheme.field,
+                        placement_with_file_one_reversed(scheme), scheme.delivery)
 
 
 def _placement_only(field, row) -> LinearScheme:
