@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .errors import ConfigurationError
 from .field import FieldMatrix, RowSpan
@@ -74,10 +74,11 @@ def rotate_2rr1s(base: LinearScheme, *, _skip_base_check: bool = False) -> Linea
     Every cache row is kept on both halves of each subfile.  For demand
     (d1, d2, d3): user 1 replays its base rule on part a, user 3 on part
     b, and user 2 serves user 1 on part a of file d1 and user 3 on part
-    b of the rest.  Rows tagged for a single requester follow that
-    requester's part, which keeps repeated requests decodable.  Mixed
-    rows that cannot be recomposed from the sender's cache are kept as
-    raw transmissions and flag the report instead of silently vanishing.
+    b of the rest.  The part of each user-2 row is worked out from the
+    rows themselves (see `_rotated_signal`), so a loaded base rotates
+    exactly like the builtin it was exported from.  Mixed rows that
+    cannot be recomposed from the sender's cache are kept as raw
+    transmissions and flag the report instead of silently vanishing.
     """
     if not _skip_base_check:
         _require_clean_base(base)
@@ -101,50 +102,47 @@ def rotate_2rr1s(base: LinearScheme, *, _skip_base_check: bool = False) -> Linea
 
 def _rotated_signal(base: LinearScheme, new_P: FieldMatrix, d: Demand, sender: int,
                     amap: list[int], bmap: list[int]) -> SenderSignal:
+    """Sender's rows for demand d, each placed on part a or part b.
+
+    Users 1 and 3 send every row on their own part.  User 2 tracks `known`,
+    what user 1 holds on part a: its cache, then the file-d1 entries of
+    earlier rows.  A row wholly in file d1 serves user 1 on part a unless
+    user 1 already knows it; then it is a repeat, which serves user 3 on
+    part b (d1 = d3).  Any other row is split by file: its file-d1 entries
+    ride part a, the rest part b.
+    """
     d1, d2, d3 = d
     base_demand = {1: (0, d2, d3), 2: (d1, 0, d3), 3: (d1, d2, 0)}[sender]
     sig = base.delivery[base_demand][sender]
-    base_P = base.placement_matrix(sender)
+    a_map, b_map = _coeff_maps(sig.matrix.ncols)
+    if sender != 2:
+        return SenderSignal(sig.matrix.map_columns(a_map if sender == 1 else b_map, new_P.nrows))
+    part_a, part_b = (sig.matrix.map_columns(cmap, new_P.nrows).images for cmap in (a_map, b_map))
     spec = base.field
-    cols2 = new_P.ncols
-    parts = [sig.matrix.map_columns(cmap, new_P.nrows).images
-             for cmap in _coeff_maps(sig.matrix.ncols)]
-    # user 2 splits a mixed row by file: requested-by-user-1 entries ride part a
+    block = base.L * spec.m
+    file_d1 = ((1 << block) - 1) << (d1 - 1) * block
     split = [a if j // base.L + 1 == d1 else b for j, (a, b) in enumerate(zip(amap, bmap))]
+    symbols = sig.matrix.matmul(base.placement_matrix(2))
+    known = base.placement_matrix(1)._echelon.copy()
 
     coeff_images: list[int] = []
-    serves_out: list[Optional[tuple[int, ...]]] = []
     raw_images: list[int] = []
-
-    for i, coeffs in enumerate(sig.matrix.images):
-        tags = sig.serves[i] if sig.serves is not None else None
-        if sender == 1:
-            part = 0
-        elif sender == 3:
-            part = 1
-        elif tags == (1,):
-            part = 0
-        elif tags == (3,):
-            part = 1
-        else:
-            part = None
-        if part is not None:
-            coeff_images.append(parts[part][i])
-            serves_out.append(tags)
+    for row, mixed, a, b in zip(symbols.images, symbols.map_columns(split, new_P.ncols).images,
+                                part_a, part_b):
+        if not row & ~file_d1:
+            # add is False when user 1 already knows the row: a repeat
+            coeff_images.append(a if known.add(row) else b)
             continue
-        mixed = (FieldMatrix(spec, 1, base_P.nrows, (coeffs,)).matmul(base_P)
-                 .map_columns(split, cols2).images[0])
+        known.add(row & file_d1)
         solved = new_P._echelon.express(mixed)
         if solved is None:
             raw_images.append(mixed)
         else:
             coeff_images.append(solved)
-            serves_out.append(tags)
 
     matrix = FieldMatrix(spec, len(coeff_images), new_P.nrows, tuple(coeff_images))
-    raw = FieldMatrix(spec, len(raw_images), cols2, tuple(raw_images)) if raw_images else None
-    tags_tuple = tuple(serves_out) if any(t is not None for t in serves_out) else None
-    return SenderSignal(matrix, tags_tuple, raw)
+    raw = FieldMatrix(spec, len(raw_images), new_P.ncols, tuple(raw_images)) if raw_images else None
+    return SenderSignal(matrix, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +325,9 @@ def adapt_request_random(base: LinearScheme) -> RequestRandomAdaptation:
         elif r == 2:
             (sender,) = senders_of(d)
             sig = base.delivery[d][sender]
-            serves = [sig.serves[i] if sig.serves is not None else None
-                      for i in range(sig.matrix.nrows) for _ in (0, 1)]
             mat = _interleaved(sig.matrix, _coeff_maps(sig.matrix.ncols),
                                placement[sender - 1].nrows)
-            tags = tuple(serves) if any(t is not None for t in serves) else None
-            delivery[d] = {sender: SenderSignal(mat, tags)}
+            delivery[d] = {sender: SenderSignal(mat)}
             worst[2] = max(worst[2], base_report.rate_of(d))
         else:
             delivery[d] = dict(rotated.delivery[d])

@@ -136,17 +136,14 @@ def _mds_half(N: int) -> OrbitScheme:
         d1, d2, d3 = d
         if d1 == 0:
             rows = [parity[d2], parity[d3]]
-            serves = [(2,), (3,)]
             sender = 1
         elif d2 == 0:
             rows = [u(d1, 1), u(d3, 1)]
-            serves = [(1,), (3,)]
             sender = 2
         else:
             rows = [u(d1, 2), u(d2, 2)]
-            serves = [(1,), (2,)]
             sender = 3
-        patterns[d] = {sender: encoded_signal(placement[sender - 1], rows, serves)}
+        patterns[d] = {sender: encoded_signal(placement[sender - 1], rows)}
     return OrbitScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, patterns)
 
 
@@ -271,9 +268,9 @@ def build_traditional_scheme(point: CornerPointId, N: int) -> OrbitScheme:
     for d in enumerate_patterns(ModelKind.TRADITIONAL_D2D, N, 3, 0):
         d1, d2, d3 = d
         patterns[d] = {
-            1: encoded_signal(P1, [W[d3](3), W[d3](4)], [(3,), (3,)]),
-            2: encoded_signal(P2, [W[d1](5), W[d1](6)], [(1,), (1,)]),
-            3: encoded_signal(P3, [W[d2](1), W[d2](2)], [(2,), (2,)]),
+            1: encoded_signal(P1, [W[d3](3), W[d3](4)]),
+            2: encoded_signal(P2, [W[d1](5), W[d1](6)]),
+            3: encoded_signal(P3, [W[d2](1), W[d2](2)]),
         }
     return OrbitScheme(ModelKind.TRADITIONAL_D2D, N, 3, 0, L, GF2, placement, patterns)
 
@@ -312,8 +309,7 @@ def _kuser_mds(N: int, K: int, s: int) -> LinearScheme:
     for d in enumerate_demands(ModelKind.K_USER_S_SENDERS, N, K, s):
         distinct = sorted({v for v in d if v})
         units = tuple(cache_row[f] for f in distinct)
-        serves = tuple(tuple(r + 1 for r, v in enumerate(d) if v == f) for f in distinct)
-        signal = SenderSignal(FieldMatrix(spec, len(units), N, units), serves or None)
+        signal = SenderSignal(FieldMatrix(spec, len(units), N, units))
         delivery[d] = {k: signal for k in senders_of(d)}
     return LinearScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, spec, placement, delivery)
 

@@ -41,7 +41,7 @@ def builtin_names() -> list[str]:
 
 
 def resolve_scheme(source: str, N: Optional[int] = None, K: Optional[int] = None,
-                   s: Optional[int] = None) -> LinearScheme:
+                   s: Optional[int] = None) -> catalog.Scheme:
     """Build a named builtin or load a scheme document from a file path."""
     if source.startswith(BUILTIN_PREFIX):
         name = source[len(BUILTIN_PREFIX):]
@@ -66,7 +66,7 @@ def resolve_scheme(source: str, N: Optional[int] = None, K: Optional[int] = None
     return load_scheme_file(source)
 
 
-def scheme_to_dict(scheme: LinearScheme) -> dict:
+def scheme_to_dict(scheme: catalog.Scheme) -> dict:
     if not scheme.encoding_clean:
         raise InterchangeError(
             "scheme holds raw transmissions that violate cache encodability "
@@ -91,7 +91,7 @@ def scheme_to_dict(scheme: LinearScheme) -> dict:
     }
 
 
-def dump_scheme(scheme: LinearScheme) -> str:
+def dump_scheme(scheme: catalog.Scheme) -> str:
     return json.dumps(scheme_to_dict(scheme), indent=2)
 
 

@@ -228,20 +228,16 @@ def file_symmetric(placement: Sequence[FieldMatrix], spans: Sequence[RowSpan], N
 class SenderSignal:
     """One sender's contribution for one demand.
 
-    ``matrix`` holds encoding rows over the sender's cache rows.  A row
-    may optionally be tagged with the requesters it was written for
-    (``serves``).  ``raw_rows`` holds symbol-space rows that could not be
-    expressed over the cache; they are counted and transmitted but mark
-    the scheme as violating the cache-encodability constraint.
+    ``matrix`` holds encoding rows over the sender's cache rows.
+    ``raw_rows`` holds symbol-space rows that could not be expressed over
+    the cache; they are counted and transmitted but mark the scheme as
+    violating the cache-encodability constraint.  Nothing records which
+    requester a row was written for: transforms work that out from the
+    rows themselves, so a loaded scheme carries everything they read.
     """
 
     matrix: FieldMatrix
-    serves: Optional[tuple[Optional[tuple[int, ...]], ...]] = None
     raw_rows: Optional[FieldMatrix] = None
-
-    def __post_init__(self):
-        if self.serves is not None and len(self.serves) != self.matrix.nrows:
-            raise ConfigurationError("serves tags must align with encoding rows")
 
     @property
     def row_count(self) -> int:
@@ -268,8 +264,7 @@ def unit_image(N: int, L: int, n: int, l: int, m: int = 1) -> int:
     return 1 << symbol_col(N, L, n, l) * m
 
 
-def encoded_signal(P: FieldMatrix, images: Sequence[int],
-                   serves: Optional[Sequence[Optional[tuple[int, ...]]]] = None) -> SenderSignal:
+def encoded_signal(P: FieldMatrix, images: Sequence[int]) -> SenderSignal:
     """Encoding rows that put the symbol-space images on the air from cache P.
 
     Each image is expressed with the echelon cached on P, whose coefficient
@@ -283,7 +278,7 @@ def encoded_signal(P: FieldMatrix, images: Sequence[int],
             raise EncodingError("delivery row is outside the sender's cache row space")
         coeffs.append(c)
     mat = FieldMatrix(P.spec, len(coeffs), P.nrows, tuple(coeffs))
-    return SenderSignal(mat, tuple(serves) if serves is not None else None)
+    return SenderSignal(mat)
 
 
 class _Placement:
@@ -458,9 +453,8 @@ class OrbitScheme(_Placement):
         """Every demand's delivery, read-only, built once on first access.
 
         A pattern keeps its stored signals.  Another demand's signals express
-        its moved rows over each sender's cached echelon; they keep the
-        pattern's serves tags, and a sender with no rows keeps the pattern's
-        (shared) signal.
+        its moved rows over each sender's cached echelon, and a sender with
+        no rows keeps the pattern's (shared) signal.
         """
         out = {}
         for d in enumerate_demands(self.model, self.N, self.K, self.s):
@@ -470,7 +464,7 @@ class OrbitScheme(_Placement):
                 out[d] = stored
                 continue
             moved = self._moved_images(pattern, d)
-            out[d] = {k: encoded_signal(self.placement[k - 1], moved[k], sig.serves)
+            out[d] = {k: encoded_signal(self.placement[k - 1], moved[k])
                       if sig.matrix.nrows else sig
                       for k, sig in stored.items()}
         return MappingProxyType(out)
@@ -517,14 +511,8 @@ def permute_scheme(scheme: LinearScheme, user_perm: Sequence[int], file_perm: Se
         nd = apply_demand_perm(d, up, fp)
         new_per = {}
         for k, sig in per_sender.items():
-            serves = None
-            if sig.serves is not None:
-                serves = tuple(
-                    None if tags is None else tuple(sorted(up[u - 1] for u in tags))
-                    for tags in sig.serves
-                )
             raw = sig.raw_rows.map_columns(col_map, N * L) if sig.raw_rows is not None else None
-            new_per[up[k - 1]] = SenderSignal(sig.matrix, serves, raw)
+            new_per[up[k - 1]] = SenderSignal(sig.matrix, raw)
         new_delivery[nd] = new_per
     return LinearScheme(
         scheme.model, N, scheme.K, scheme.s, L, scheme.field,

@@ -87,25 +87,16 @@ def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearSchem
             widths = [sch.placement_rows(k) for sch in instances]
             total_w = sum(widths)
             images: list[int] = []
-            serves: list = []
             raw_blocks: list[FieldMatrix] = []
-            any_serves = False
             col_off = 0
             for sig, w, cmap in zip(blocks, widths, col_maps):
-                for i, image in enumerate(sig.matrix.images):
-                    images.append(image << col_off * first.field.m)
-                    if sig.serves is not None:
-                        serves.append(sig.serves[i])
-                        any_serves = True
-                    else:
-                        serves.append(None)
+                images.extend(image << col_off * first.field.m for image in sig.matrix.images)
                 if sig.raw_rows is not None:
                     raw_blocks.append(sig.raw_rows.map_columns(cmap, N * L_total))
                 col_off += w
             raw = _stacked(first.field, N * L_total, raw_blocks)
             per_sender[k] = SenderSignal(
                 FieldMatrix(first.field, len(images), total_w, tuple(images)),
-                tuple(serves) if any_serves else None,
                 raw if raw.nrows else None,
             )
         delivery[d] = per_sender

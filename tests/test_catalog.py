@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from d2dcache.adapters import adapt_request_random, rotate_2rr1s
 from d2dcache.catalog import CornerPointId, build_2rr1s_scheme, build_kuser_scheme, corner_value
 from d2dcache.curves import RatePoint, envelope
 from d2dcache.errors import ConfigurationError, FeasibilityError
 from d2dcache.io import dump_scheme
+from d2dcache.sharing import memory_share
 from d2dcache.verify import verify
 
 from conftest import (
@@ -183,7 +185,9 @@ def test_envelope_needs_points():
 # ---------------------------------------------------------------------------
 
 # sha256 of dump_scheme(...) for each builtin, recorded from the tuple-row
-# builders; no other test checks exact row order or coefficients.
+# builders; no other test checks exact row order or coefficients.  The
+# rotated and adapted entries pin the part a or b the rotation gives each of
+# user 2's rows, which it works out from the base's rows alone.
 EXPORT_DIGESTS = {
     "2rr1s/full N=2": "a35e04ac996f5acc7a24f27cf68939d993b6e2f5215d2d27c457806aa0066738",
     "2rr1s/mds-half N=2": "cc8d13d5f2a6a59a792cf424b42d6e30e8b3837f83271bfb10e9a4d28d373b6e",
@@ -203,6 +207,12 @@ EXPORT_DIGESTS = {
     "kuser/mds N=4 K=5 s=2": "ce96dfa19a9643b9b4bf57913956b75a2834d4015a28e240692c3ae64901f558",
     "kuser/man N=4 K=6 s=3": "83660742f85d07eabbe55b02b831ca25414b67b32248d78d700268f17e2a445c",
     "kuser/mds N=4 K=6 s=3": "9afee2d1977ccdb4f519254f453742cdc10056537a0aa7df5d534220bf464ae2",
+    "rotate 2rr1s/mds-half N=2": "0788cb1847dad05d9fd17a69da8947086187726a4a08d87b24a7cf0da52b5884",
+    "rotate 2rr1s/mds-half N=3": "6c6af3b42b28c35e728bfaa412d6df806e3cd294dfc84e1b712164f40dc48313",
+    "rotate 2rr1s/man-2-3 N=2": "259d04b75414ffa145e8fdd4aaffa22b2a6a869cd1699b8b421fd7e962aa164c",
+    "rotate share(mds-half, man-2-3, 1/3) N=2":
+        "0d0c65105fa2362eddfcfb174b3f2ace9f1764c8727c0b69ad652d082080a309",
+    "adapt 2rr1s/mds-half N=2": "803f655809704acc30e46df467896780ca1a30aae49d3bfefeb65e7863bf6c7d",
 }
 
 
@@ -216,6 +226,15 @@ def _pinned_schemes():
         for point, name in ((CornerPointId.KU_MAN, "man"), (CornerPointId.KU_MDS, "mds")):
             yield (f"kuser/{name} N={N} K={K} s={s}",
                    lambda p=point, n=N, k=K, s=s: cached_kuser(p, n, k, s))
+    mds_half, man = CornerPointId.MDS_HALF, CornerPointId.MAN_TWO_THIRDS
+    for N in (2, 3):
+        yield f"rotate 2rr1s/mds-half N={N}", lambda n=N: rotate_2rr1s(cached_2rr1s(mds_half, n))
+    yield "rotate 2rr1s/man-2-3 N=2", lambda: rotate_2rr1s(cached_2rr1s(man, 2))
+    yield ("rotate share(mds-half, man-2-3, 1/3) N=2",
+           lambda: rotate_2rr1s(memory_share(cached_2rr1s(mds_half, 2), cached_2rr1s(man, 2),
+                                             Fraction(1, 3))))
+    yield ("adapt 2rr1s/mds-half N=2",
+           lambda: adapt_request_random(cached_2rr1s(mds_half, 2)).scheme)
 
 
 PINNED = list(_pinned_schemes())

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from d2dcache.adapters import adapt_request_random, rotate_2rr1s
 from d2dcache.catalog import CornerPointId
 from d2dcache.cli import MAX_SAMPLES, main
 from d2dcache.errors import InterchangeError
@@ -16,9 +17,10 @@ from d2dcache.io import (
     resolve_scheme,
     scheme_to_dict,
 )
+from d2dcache.sharing import memory_share
 from d2dcache.verify import verify
 
-from conftest import cached_2rr1s, cached_kuser, cached_traditional
+from conftest import TWO_RR_POINTS, cached_2rr1s, cached_kuser, cached_traditional
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +211,34 @@ def test_random_schemes_round_trip(tmp_path):
         assert verify(reloaded) == verify(scheme)
 
 
-def test_adapted_scheme_round_trips():
-    from d2dcache.adapters import adapt_request_random
-    adapted = adapt_request_random(cached_2rr1s(CornerPointId.MDS_HALF, 2)).scheme
-    reloaded = load_scheme_text(dump_scheme(adapted))
-    assert verify(reloaded) == verify(adapted)
-    assert reloaded.model.value == "request_random"
+def _round_trip_bases():
+    for N in (2, 3, 4):
+        for point in TWO_RR_POINTS:
+            yield f"{point.value} N={N}", lambda p=point, n=N: cached_2rr1s(p, n)
+    yield "n2-7-8 N=2", lambda: cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2)
+    yield ("share(mds-half, man-2-3, 1/3) N=2",
+           lambda: memory_share(cached_2rr1s(CornerPointId.MDS_HALF, 2),
+                                cached_2rr1s(CornerPointId.MAN_TWO_THIRDS, 2), Fraction(1, 3)))
+
+
+ROUND_TRIP_BASES = list(_round_trip_bases())
+
+
+@pytest.mark.parametrize("make", [make for _, make in ROUND_TRIP_BASES],
+                         ids=[name for name, _ in ROUND_TRIP_BASES])
+def test_adapted_scheme_round_trips(make):
+    """A loaded base rotates and adapts exactly like the scheme it was exported from."""
+    base = make()
+    loaded = load_scheme_text(dump_scheme(base))
+    report = lambda scheme: verify(scheme).to_json_dict()
+    assert report(rotate_2rr1s(loaded)) == report(rotate_2rr1s(base))
+    adapted, adapted_loaded = adapt_request_random(base), adapt_request_random(loaded)
+    assert report(adapted_loaded.scheme) == report(adapted.scheme)
+    assert adapted_loaded.per_r_worst == adapted.per_r_worst
+    if adapted.scheme.encoding_clean:
+        reloaded = load_scheme_text(dump_scheme(adapted.scheme))
+        assert reloaded.model.value == "request_random"
+        assert verify(reloaded) == verify(adapted.scheme)
 
 
 def test_resolve_builtins_and_errors():
@@ -231,7 +255,6 @@ def test_resolve_builtins_and_errors():
 
 
 def test_rotated_scheme_with_raw_rows_refuses_export():
-    from d2dcache.adapters import rotate_2rr1s
     rotated = rotate_2rr1s(cached_2rr1s(CornerPointId.HALF_RATE, 2))
     with pytest.raises(InterchangeError):
         dump_scheme(rotated)

@@ -110,9 +110,9 @@ def test_delivery_builds_each_demand_once(monkeypatch):
     built = []
     encode = model_mod.encoded_signal
 
-    def spy(P, images, serves=None):
+    def spy(P, images):
         built.append(images)
-        return encode(P, images, serves)
+        return encode(P, images)
 
     monkeypatch.setattr(model_mod, "encoded_signal", spy)
     first = dict(scheme.delivery)
@@ -125,12 +125,7 @@ def test_delivery_builds_each_demand_once(monkeypatch):
         assert scheme.delivery[d] is scheme.delivery[d]
 
 
-def test_delivery_keeps_tags_and_shares_empty_signals():
-    mds_half = cached_2rr1s(CornerPointId.MDS_HALF, 3)
-    for d, per in mds_half.delivery.items():
-        (sender, sig), = per.items()
-        assert sig.serves == mds_half.patterns[canonical_file_pattern(d)][sender].serves
-        assert sig.serves == tuple((r,) for r in (1, 2, 3) if r != sender)
+def test_delivery_shares_empty_signals():
     man = cached_kuser(CornerPointId.KU_MAN, 4, 5, 2)
     for d, per in man.delivery.items():
         stored = man.patterns[canonical_file_pattern(d)]
