@@ -3,7 +3,6 @@
 from .adapters import (
     FakeAssignment,
     PrunedSignal,
-    RandomRequestProfile,
     RequestRandomAdaptation,
     adapt_request_random,
     average_rate,
@@ -55,7 +54,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundLine", "CornerPointId", "Demand", "FakeAssignment", "FieldMatrix",
     "FieldSpec", "GF2", "LinearScheme", "ModelKind", "OrbitScheme", "PrunedSignal",
-    "RandomRequestProfile", "RatePoint", "RequestRandomAdaptation",
+    "RatePoint", "RequestRandomAdaptation",
     "SenderSignal", "SymmetrizedScheme", "TradeoffCurve",
     "VerificationReport", "adapt_request_random", "average_rate",
     "build_2rr1s_scheme", "build_kuser_scheme", "build_traditional_scheme",

@@ -68,20 +68,26 @@ def _require_clean_base(base: LinearScheme) -> None:
         raise ConfigurationError("rotation rejects a base that does not verify cleanly")
 
 
-def rotate_2rr1s(base: LinearScheme, *, _skip_base_check: bool = False) -> LinearScheme:
+def rotate_2rr1s(base: LinearScheme) -> LinearScheme:
     """Traditional-model scheme at double subpacketization and 3/2 the rate.
 
-    Every cache row is kept on both halves of each subfile.  For demand
-    (d1, d2, d3): user 1 replays its base rule on part a, user 3 on part
-    b, and user 2 serves user 1 on part a of file d1 and user 3 on part
-    b of the rest.  The part of each user-2 row is worked out from the
-    rows themselves (see `_rotated_signal`), so a loaded base rotates
-    exactly like the builtin it was exported from.  Mixed rows that
+    The base must be a two-requester/one-sender scheme that verifies
+    cleanly; anything else raises ConfigurationError before any row is
+    built.  Every cache row is kept on both halves of each subfile.  For
+    demand (d1, d2, d3): user 1 replays its base rule on part a, user 3
+    on part b, and user 2 serves user 1 on part a of file d1 and user 3
+    on part b of the rest.  The part of each user-2 row is worked out
+    from the rows themselves (see `_rotated_signal`), so a loaded base
+    rotates exactly like the builtin it was exported from.  Mixed rows that
     cannot be recomposed from the sender's cache are kept as raw
     transmissions and flag the report instead of silently vanishing.
     """
-    if not _skip_base_check:
-        _require_clean_base(base)
+    _require_clean_base(base)
+    return _rotated(base)
+
+
+def _rotated(base: LinearScheme) -> LinearScheme:
+    """The rotation of a base that has already passed `_require_clean_base`."""
     N, L, spec = base.N, base.L, base.field
     L2 = 2 * L
     amap, bmap = _part_maps(N, L)
@@ -233,22 +239,6 @@ class FakeAssignment:
     sender: int
 
 
-@dataclass(frozen=True)
-class RandomRequestProfile:
-    """Per-request-count worst-case rates and their binomial average."""
-
-    p: Probability
-    rates: Mapping[int, Fraction]
-
-    def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise ConfigurationError("request probability must lie in [0, 1]")
-
-    @property
-    def average(self) -> Probability:
-        return average_rate(self.p, self.rates)
-
-
 def average_rate(p: Probability, rates: Mapping[int, Fraction]) -> Probability:
     """Binomial-weighted mean of the per-request-count worst-case rates."""
     if not 0 <= p <= 1:
@@ -271,9 +261,6 @@ class RequestRandomAdaptation:
     per_r_worst: Mapping[int, Fraction]
     fake_assignments: Mapping[Demand, FakeAssignment]
 
-    def profile(self, p: Probability) -> RandomRequestProfile:
-        return RandomRequestProfile(p, dict(self.per_r_worst))
-
 
 def adapt_request_random(base: LinearScheme) -> RequestRandomAdaptation:
     """Serve 0..3 random requesters with a two-requester base design.
@@ -284,11 +271,10 @@ def adapt_request_random(base: LinearScheme) -> RequestRandomAdaptation:
     file, and prunes rows only the fake needed; r=0 sends nothing.
     """
     _require_clean_base(base)
-    rotated = rotate_2rr1s(base, _skip_base_check=True)
+    rotated = _rotated(base)
     N, L, spec = base.N, base.L, base.field
     L2 = 2 * L
     placement = rotated.placement
-    base_report = verify(base, check_decodability=False)
 
     delivery: dict[Demand, dict[int, SenderSignal]] = {}
     fake_assignments: dict[Demand, FakeAssignment] = {}
@@ -328,7 +314,7 @@ def adapt_request_random(base: LinearScheme) -> RequestRandomAdaptation:
             mat = _interleaved(sig.matrix, _coeff_maps(sig.matrix.ncols),
                                placement[sender - 1].nrows)
             delivery[d] = {sender: SenderSignal(mat)}
-            worst[2] = max(worst[2], base_report.rate_of(d))
+            worst[2] = max(worst[2], Fraction(sig.row_count, L))
         else:
             delivery[d] = dict(rotated.delivery[d])
             rate = Fraction(sum(s.row_count for s in rotated.delivery[d].values()), L2)

@@ -94,6 +94,8 @@ def _idle_signals(placement: Sequence[FieldMatrix]) -> tuple[SenderSignal, ...]:
 def build_2rr1s_scheme(point: CornerPointId, N: int) -> Scheme:
     if N < 2:
         raise ConfigurationError("need at least two files")
+    # checked before any placement is built: each user caches O(N) rows
+    demand_count(ModelKind.TWO_RR_ONE_S, N, 3, 1)
     if point is CornerPointId.FULL:
         return _full_scheme(ModelKind.TWO_RR_ONE_S, N, 3, 1)
     if point is CornerPointId.MDS_HALF:

@@ -43,7 +43,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -249,9 +248,6 @@ class SenderSignal:
         return self.raw_rows is None or self.raw_rows.nrows == 0
 
 
-DeliveryRule = Mapping[Demand, Mapping[int, SenderSignal]]
-
-
 def symbol_col(N: int, L: int, n: int, l: int) -> int:
     """Flattened symbol index of subfile l of file n (both 1-based)."""
     if not (1 <= n <= N and 1 <= l <= L):
@@ -281,8 +277,9 @@ def encoded_signal(P: FieldMatrix, images: Sequence[int]) -> SenderSignal:
     return SenderSignal(mat)
 
 
+@dataclass(frozen=True)
 class _Placement:
-    """Placement checks and accessors shared by both scheme forms."""
+    """The fields, placement checks and accessors shared by both scheme forms."""
 
     model: ModelKind
     N: int
@@ -333,21 +330,11 @@ class _Placement:
     def placement_matrix(self, k: int) -> FieldMatrix:
         return self.placement[k - 1]
 
-    def memory(self, k: int) -> Fraction:
-        return Fraction(self.placement_rows(k), self.L)
-
 
 @dataclass(frozen=True)
 class LinearScheme(_Placement):
     """A complete linear caching-and-delivery design with a delivery per demand."""
 
-    model: ModelKind
-    N: int
-    K: int
-    s: Optional[int]
-    L: int
-    field: FieldSpec
-    placement: tuple[FieldMatrix, ...]
     delivery: dict[Demand, dict[int, SenderSignal]]
 
     def __post_init__(self):
@@ -392,13 +379,6 @@ class OrbitScheme(_Placement):
     raw rows.
     """
 
-    model: ModelKind
-    N: int
-    K: int
-    s: Optional[int]
-    L: int
-    field: FieldSpec
-    placement: tuple[FieldMatrix, ...]
     patterns: dict[Demand, dict[int, SenderSignal]]
 
     def __post_init__(self):

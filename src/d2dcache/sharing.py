@@ -1,14 +1,16 @@
 """Space-sharing composition: memory sharing and full symmetrization.
 
 Both transformations lay copies of base schemes on disjoint subfile-slot
-blocks of every file.  Memory sharing materializes the composite scheme;
-symmetrization over all joint user/file permutations returns a lazily
-materialized scheme whose rate accounting is computed exactly from orbit
-sums, since the explicit matrices grow with N!.K!.
+blocks of every file.  Memory sharing materializes the composite scheme.
+Symmetrization over all joint user/file permutations returns a scheme
+whose rate accounting is lazy, computed exactly from orbit sums, since
+the explicit matrices grow with N!.K!; its matrices come from
+`to_explicit`, built once on first use.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -125,19 +127,13 @@ def memory_share(a: LinearScheme, b: LinearScheme, alpha: Fraction) -> LinearSch
     return concatenate_blocks(parts)
 
 
-def _invert(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, v in enumerate(perm, start=1):
-        inv[v - 1] = i
-    return tuple(inv)
-
-
 class SymmetrizedScheme:
     """Space-sharing of every jointly permuted copy of a base scheme.
 
     Presents the same accessor surface as LinearScheme.  Row counts and
-    memory come from exact orbit sums over the full permutation group;
-    matrices materialize on demand (practical only at small N).
+    memory come lazily from exact orbit sums over the full permutation
+    group.  Matrices come from `to_explicit`, built once on the first
+    placement or delivery read (practical only at small N).
     """
 
     def __init__(self, base: LinearScheme, budget: int = DEFAULT_SYMMETRIZE_BUDGET):
@@ -163,7 +159,6 @@ class SymmetrizedScheme:
         self._base_sender_rows = {d: base.delivery_row_counts(d) for d in base.delivery_demands()}
         self._user_perms = list(itertools.permutations(range(1, base.K + 1)))
         self._orbit_cache: dict[tuple[Demand, int], int] = {}
-        self._base_signal_cache: dict[Demand, dict[int, FieldMatrix]] = {}
 
     # -- accounting ---------------------------------------------------------
 
@@ -208,42 +203,17 @@ class SymmetrizedScheme:
                 counts[j] += self._relabel_sum(pattern, v[j - 1])
         return counts
 
-    # -- materialization ------------------------------------------------------
+    # -- matrices -----------------------------------------------------------
 
-    def _base_signals(self, d: Demand) -> dict[int, FieldMatrix]:
-        sig = self._base_signal_cache.get(d)
-        if sig is None:
-            sig = self.base.transmitted_rows(d)
-            self._base_signal_cache[d] = sig
-        return sig
+    @functools.cached_property
+    def _explicit(self) -> LinearScheme:
+        return self.to_explicit()
 
     def placement_matrix(self, k: int) -> FieldMatrix:
-        base_L, total = self.base.L, self.N * self.L
-        return _stacked(self.field, total, (
-            self.base.placement_matrix(_invert(up)[k - 1]).map_columns(
-                self._copy_col_map(fp, idx * base_L), total)
-            for idx, (up, fp) in enumerate(self.group)
-        ))
-
-    def _copy_col_map(self, fp: tuple[int, ...], offset: int) -> list[int]:
-        N, base_L = self.N, self.base.L
-        out = [0] * (N * base_L)
-        for n in range(1, N + 1):
-            for l in range(1, base_L + 1):
-                out[symbol_col(N, base_L, n, l)] = symbol_col(N, self.L, fp[n - 1], offset + l)
-        return out
+        return self._explicit.placement_matrix(k)
 
     def transmitted_rows(self, d: Demand) -> dict[int, FieldMatrix]:
-        total = self.N * self.L
-        blocks: dict[int, list[FieldMatrix]] = {k: [] for k in senders_of(d)}
-        for idx, (up, fp) in enumerate(self.group):
-            inv_up, inv_fp = _invert(up), _invert(fp)
-            db = apply_demand_perm(d, inv_up, inv_fp)
-            signals = self._base_signals(db)
-            cmap = self._copy_col_map(fp, idx * self.base.L)
-            for j, mats in blocks.items():
-                mats.append(signals[inv_up[j - 1]].map_columns(cmap, total))
-        return {j: _stacked(self.field, total, mats) for j, mats in blocks.items()}
+        return self._explicit.transmitted_rows(d)
 
     def to_explicit(self) -> LinearScheme:
         """Materialize the block-diagonal composite (small N only)."""

@@ -211,13 +211,13 @@ def test_adapted_preprocessed_scheme_decodes_up_to_two_requesters():
 
 def test_profile_average_formula():
     adaptation = adapt_request_random(cached_2rr1s(CornerPointId.MAN_TWO_THIRDS, 4))
-    profile = adaptation.profile(Fraction(59, 100))
     p = Fraction(59, 100)
+    average = average_rate(p, adaptation.per_r_worst)
     want = (3 * p * (1 - p) ** 2 * Fraction(1, 3)
             + 3 * p ** 2 * (1 - p) * Fraction(1, 3)
             + p ** 3 * Fraction(1, 2))
-    assert profile.average == want
-    assert profile.average == p * (1 - p) + p ** 3 / 2
+    assert average == want
+    assert average == p * (1 - p) + p ** 3 / 2
 
 
 # ---------------------------------------------------------------------------

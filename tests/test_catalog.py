@@ -8,7 +8,7 @@ import pytest
 from d2dcache.adapters import adapt_request_random, rotate_2rr1s
 from d2dcache.catalog import CornerPointId, build_2rr1s_scheme, build_kuser_scheme, corner_value
 from d2dcache.curves import RatePoint, envelope
-from d2dcache.errors import ConfigurationError, FeasibilityError
+from d2dcache.errors import ConfigurationError, FeasibilityError, ResourceBudgetError
 from d2dcache.io import dump_scheme
 from d2dcache.sharing import memory_share
 from d2dcache.verify import verify
@@ -59,6 +59,23 @@ def _table_rows(N, L):
     def u(n, l):
         return unit_row(N, L, n, l)
     return u, xor_rows
+
+
+class _NoMatrices:
+    """Stands in for FieldMatrix where no matrix may be built."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a matrix was built before the demand budget check")
+
+    identity = empty = staticmethod(__new__)
+
+
+@pytest.mark.parametrize("point", [CornerPointId.FULL, CornerPointId.MDS_HALF,
+                                   CornerPointId.MAN_TWO_THIRDS, CornerPointId.HALF_RATE])
+def test_2rr1s_builder_checks_demand_budget_before_placement(point, monkeypatch):
+    monkeypatch.setattr("d2dcache.catalog.FieldMatrix", _NoMatrices)
+    with pytest.raises(ResourceBudgetError):
+        build_2rr1s_scheme(point, 600)
 
 
 def test_half_rate_matches_printed_n2_layout():

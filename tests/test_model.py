@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import d2dcache
 from d2dcache.catalog import CornerPointId
 from d2dcache.errors import ConfigurationError, ResourceBudgetError
 from d2dcache.field import GF2, FieldMatrix
@@ -481,6 +482,7 @@ def test_lazy_accounting_matches_explicit_blocks(point, N):
     assert full_report.passed
     assert lazy_report.memory == full_report.memory
     assert lazy_report.rate_table() == full_report.rate_table()
+    assert verify(sym).to_json_dict() == full_report.to_json_dict()
     demands = enumerate_demands(base.model, base.N, base.K, base.s)
     for d in demands[:4]:
         assert sym.delivery_row_counts(d) == {
@@ -524,7 +526,14 @@ def test_symmetrized_transmissions_decode(catalog_2rr1s):
 
 def test_symmetrized_kuser_scheme_decodes():
     base = cached_kuser(CornerPointId.KU_MDS, 2, 3, 1)
-    report = verify(symmetrize(base))
+    sym = symmetrize(base)
+    report = verify(sym)
     assert report.passed
     assert report.memory == (1, 1, 1)
     assert report.worst_case_rate == 1
+    assert report.to_json_dict() == verify(sym.to_explicit()).to_json_dict()
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in d2dcache.__all__ if not hasattr(d2dcache, name)]
+    assert missing == []
