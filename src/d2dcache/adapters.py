@@ -21,8 +21,11 @@ from .model import (
     Demand,
     LinearScheme,
     ModelKind,
+    OrbitScheme,
+    Scheme,
     SenderSignal,
     enumerate_demands,
+    enumerate_patterns,
     requesters_of,
     senders_of,
     symbol_col,
@@ -60,7 +63,7 @@ def _interleaved(mat: FieldMatrix, maps: tuple[list[int], list[int]], ncols: int
     return FieldMatrix(mat.spec, len(images), ncols, images)
 
 
-def _require_clean_base(base: LinearScheme) -> None:
+def _require_clean_base(base: Scheme) -> None:
     if base.model is not ModelKind.TWO_RR_ONE_S:
         raise ConfigurationError("rotation expects a two-requester/one-sender base")
     report = verify(base)
@@ -68,7 +71,7 @@ def _require_clean_base(base: LinearScheme) -> None:
         raise ConfigurationError("rotation rejects a base that does not verify cleanly")
 
 
-def rotate_2rr1s(base: LinearScheme) -> LinearScheme:
+def rotate_2rr1s(base: Scheme) -> Scheme:
     """Traditional-model scheme at double subpacketization and 3/2 the rate.
 
     The base must be a two-requester/one-sender scheme that verifies
@@ -81,12 +84,17 @@ def rotate_2rr1s(base: LinearScheme) -> LinearScheme:
     rotates exactly like the builtin it was exported from.  Mixed rows that
     cannot be recomposed from the sender's cache are kept as raw
     transmissions and flag the report instead of silently vanishing.
+
+    An OrbitScheme base rotates to an OrbitScheme: every step above moves
+    with a file relabelling, so only the traditional-model file patterns
+    are built.  When one of them needs raw rows, which the orbit form
+    cannot hold, every demand is built and the result is explicit.
     """
     _require_clean_base(base)
     return _rotated(base)
 
 
-def _rotated(base: LinearScheme) -> LinearScheme:
+def _rotated(base: Scheme) -> Scheme:
     """The rotation of a base that has already passed `_require_clean_base`."""
     N, L, spec = base.N, base.L, base.field
     L2 = 2 * L
@@ -96,17 +104,22 @@ def _rotated(base: LinearScheme) -> LinearScheme:
     placement = tuple(_interleaved(base.placement_matrix(k), (amap, bmap), cols2)
                       for k in range(1, 4))
 
-    delivery = {}
-    for d in enumerate_demands(ModelKind.TRADITIONAL_D2D, N, 3, 0):
-        delivery[d] = {
-            1: _rotated_signal(base, placement[0], d, sender=1, amap=amap, bmap=bmap),
-            2: _rotated_signal(base, placement[1], d, sender=2, amap=amap, bmap=bmap),
-            3: _rotated_signal(base, placement[2], d, sender=3, amap=amap, bmap=bmap),
-        }
-    return LinearScheme(ModelKind.TRADITIONAL_D2D, N, 3, 0, L2, spec, placement, delivery)
+    def signals(d: Demand) -> dict[int, SenderSignal]:
+        return {k: _rotated_signal(base, placement[k - 1], d, sender=k, amap=amap, bmap=bmap)
+                for k in (1, 2, 3)}
+
+    form = (ModelKind.TRADITIONAL_D2D, N, 3, 0)
+    patterns = {}
+    if isinstance(base, OrbitScheme):
+        patterns = {d: signals(d) for d in enumerate_patterns(*form)}
+        if all(sig.clean for per in patterns.values() for sig in per.values()):
+            return OrbitScheme(*form, L2, spec, placement, patterns)
+    delivery = {d: patterns[d] if d in patterns else signals(d)
+                for d in enumerate_demands(*form)}
+    return LinearScheme(*form, L2, spec, placement, delivery)
 
 
-def _rotated_signal(base: LinearScheme, new_P: FieldMatrix, d: Demand, sender: int,
+def _rotated_signal(base: Scheme, new_P: FieldMatrix, d: Demand, sender: int,
                     amap: list[int], bmap: list[int]) -> SenderSignal:
     """Sender's rows for demand d, each placed on part a or part b.
 
@@ -171,7 +184,7 @@ class PrunedSignal:
         return tuple(i for k, i in self.kept if k == sender)
 
 
-def prune_signal(scheme: LinearScheme, demand: Demand,
+def prune_signal(scheme: Scheme, demand: Demand,
                  real_requesters: Sequence[int]) -> PrunedSignal:
     """Greedily drop delivery rows that no real requester needs.
 
@@ -186,11 +199,11 @@ def prune_signal(scheme: LinearScheme, demand: Demand,
             raise ConfigurationError(f"user {r} does not request under demand {demand}")
     signals = scheme.transmitted_rows(demand)
     order: list[tuple[int, int]] = []
-    rows: dict[tuple[int, int], tuple[int, ...]] = {}
+    images: dict[tuple[int, int], int] = {}
     for k in sorted(signals):
-        for i, row in enumerate(signals[k].rows):
+        for i, image in enumerate(signals[k].images):
             order.append((k, i))
-            rows[(k, i)] = row
+            images[(k, i)] = image
 
     spans = {}
     for r in real:
@@ -202,7 +215,7 @@ def prune_signal(scheme: LinearScheme, demand: Demand,
         for r in real:
             span = spans[r].copy()
             for key in keys:
-                span.add(rows[key])
+                span.add(images[key])
             if not _file_decodable(span, scheme.N, scheme.L, demand[r - 1]):
                 return False
         return True
@@ -216,12 +229,13 @@ def prune_signal(scheme: LinearScheme, demand: Demand,
         if decodes(trial):
             kept = trial
             dropped.append(key)
+    kept_images = tuple(images[k] for k in kept)
     return PrunedSignal(
         demand=demand,
         real_requesters=real,
         kept=tuple(kept),
         dropped=tuple(dropped),
-        symbol_rows=tuple(rows[k] for k in kept),
+        symbol_rows=FieldMatrix(scheme.field, len(kept), scheme.symbol_count, kept_images).rows,
     )
 
 
@@ -256,13 +270,13 @@ def average_rate(p: Probability, rates: Mapping[int, Fraction]) -> Probability:
 
 @dataclass(frozen=True)
 class RequestRandomAdaptation:
-    base: LinearScheme
+    base: Scheme
     scheme: LinearScheme
     per_r_worst: Mapping[int, Fraction]
     fake_assignments: Mapping[Demand, FakeAssignment]
 
 
-def adapt_request_random(base: LinearScheme) -> RequestRandomAdaptation:
+def adapt_request_random(base: Scheme) -> RequestRandomAdaptation:
     """Serve 0..3 random requesters with a two-requester base design.
 
     r=2 demands replay the base rule; r=3 demands use the rotated rule;

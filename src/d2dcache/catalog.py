@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import ConfigurationError
 from .field import GF2, FieldMatrix, FieldSpec, mds_generator, min_extension_degree
@@ -29,6 +29,7 @@ from .model import (
     LinearScheme,
     ModelKind,
     OrbitScheme,
+    Scheme,
     SenderSignal,
     demand_count,
     encoded_signal,
@@ -37,8 +38,6 @@ from .model import (
     senders_of,
     unit_image,
 )
-
-Scheme = Union[LinearScheme, OrbitScheme]
 
 __all__ = [
     "CornerPointId",

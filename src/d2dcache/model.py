@@ -29,8 +29,10 @@ demand in enumeration order.  Two scheme forms share one accessor surface:
   the file-invariance test (`file_symmetric`), so every cache span is
   fixed by every pi, and the delivery of d = pi(pattern) is by definition
   the pattern's transmitted rows moved by pi (`file_relabelling`,
-  `move_files`).  Its `delivery` expresses them over each sender's cache,
-  for every demand at once, the first time it is read.
+  `move_files`).  A pattern's rows must be fixed by every permutation of
+  the files it does not request, so that definition does not depend on
+  which pi is chosen.  Its `delivery` expresses them over each sender's
+  cache, for every demand at once, the first time it is read.
 
 Every demand is listed and reported, so the demand count is capped at
 `DEMAND_BUDGET` before anything is enumerated.
@@ -44,7 +46,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ConfigurationError, EncodingError, ResourceBudgetError
 from .field import FieldMatrix, FieldSpec, RowSpan
@@ -203,6 +205,19 @@ def move_files(image: int, perm: Sequence[int], block: int) -> int:
     return out
 
 
+def _generators(r: int, N: int) -> list[tuple[int, ...]]:
+    """0-based file permutations that generate every permutation of files r..N-1.
+
+    They are the transposition of the first two of those files and their
+    cycle; files below r stay fixed.  Empty when fewer than two files move.
+    """
+    if N - r < 2:
+        return []
+    fixed = tuple(range(r))
+    return list(dict.fromkeys([(*fixed, r + 1, r, *range(r + 2, N)),
+                               (*fixed, *range(r + 1, N), r)]))
+
+
 def file_symmetric(placement: Sequence[FieldMatrix], spans: Sequence[RowSpan], N: int,
                    L: int) -> bool:
     """True when every user's cache row space is invariant under every file permutation.
@@ -211,10 +226,8 @@ def file_symmetric(placement: Sequence[FieldMatrix], spans: Sequence[RowSpan], N
     N-cycle generate S_N, so it suffices that each of them maps every cache
     row back into its user's span.
     """
-    if N < 2:
-        return True
     block = L * placement[0].spec.m
-    generators = dict.fromkeys([(1, 0, *range(2, N)), (*range(1, N), 0)])
+    generators = _generators(0, N)
     return all(
         span.contains(move_files(image, perm, block))
         for P, span in zip(placement, spans)
@@ -376,7 +389,11 @@ class OrbitScheme(_Placement):
     The delivery of d = pi(pattern) is the pattern's transmitted rows moved
     by pi.  The constructor checks that the placement is file-symmetric, so
     those rows lie in each sender's cache span, and that no pattern holds
-    raw rows.
+    raw rows.  It also checks the stabilizer contract: every permutation of
+    the files a pattern does not request fixes each of its transmitted
+    images.  So every pi with d = pi(pattern) moves the pattern's rows onto
+    the same rows, and delivery(pi(d)) = pi(delivery(d)) for every file
+    permutation pi and demand d, not only for `file_relabelling`'s choice.
     """
 
     patterns: dict[Demand, dict[int, SenderSignal]]
@@ -393,6 +410,13 @@ class OrbitScheme(_Placement):
         if not file_symmetric(self.placement, [P._echelon for P in self.placement],
                               self.N, self.L):
             raise ConfigurationError("placement is not invariant under file relabelling")
+        block = self.L * self.field.m
+        for d, sent in self._pattern_images.items():
+            if any(move_files(image, perm, block) != image
+                   for perm in _generators(max(d), self.N)
+                   for images in sent.values() for image in images):
+                raise ConfigurationError(
+                    f"pattern {d} sends rows that move with files it does not request")
 
     def _pattern(self, d: Demand) -> Demand:
         """d's pattern; KeyError when d is not a demand of the model."""
@@ -457,6 +481,9 @@ class OrbitScheme(_Placement):
         return True  # the constructor refuses raw rows
 
 
+Scheme = Union[LinearScheme, OrbitScheme]
+
+
 def _as_perm(perm: Sequence[int], n: int, what: str) -> tuple[int, ...]:
     p = tuple(perm)
     if sorted(p) != list(range(1, n + 1)):
@@ -474,7 +501,7 @@ def apply_demand_perm(d: Demand, user_perm: Sequence[int], file_perm: Sequence[i
     return tuple(out)
 
 
-def permute_scheme(scheme: LinearScheme, user_perm: Sequence[int], file_perm: Sequence[int]) -> LinearScheme:
+def permute_scheme(scheme: Scheme, user_perm: Sequence[int], file_perm: Sequence[int]) -> LinearScheme:
     """Relabel users and files; the design is otherwise unchanged."""
     up = _as_perm(user_perm, scheme.K, "user_perm")
     fp = _as_perm(file_perm, scheme.N, "file_perm")

@@ -1,7 +1,8 @@
 """Space-sharing composition: memory sharing and full symmetrization.
 
 Both transformations lay copies of base schemes on disjoint subfile-slot
-blocks of every file.  Memory sharing materializes the composite scheme.
+blocks of every file.  Memory sharing builds the composite scheme, and a
+composite of OrbitSchemes is built once per file pattern.
 Symmetrization over all joint user/file permutations returns a scheme
 whose rate accounting is lazy, computed exactly from orbit sums, since
 the explicit matrices grow with N!.K!; its matrices come from
@@ -21,10 +22,13 @@ from .field import FieldMatrix, FieldSpec
 from .model import (
     Demand,
     LinearScheme,
+    OrbitScheme,
+    Scheme,
     SenderSignal,
     apply_demand_perm,
     canonical_file_pattern,
     enumerate_demands,
+    enumerate_patterns,
     permute_scheme,
     senders_of,
     symbol_col,
@@ -48,13 +52,24 @@ def _stacked(spec: FieldSpec, ncols: int, blocks: Iterable[FieldMatrix]) -> Fiel
     return FieldMatrix(spec, len(images), ncols, images)
 
 
-def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearScheme:
-    """Run each scheme on its own block of subfile slots, `count` times over."""
-    instances: list[LinearScheme] = []
-    for scheme, count in parts:
-        if count < 0:
-            raise ConfigurationError("block count must be nonnegative")
-        instances.extend([scheme] * count)
+def concatenate_blocks(parts: Sequence[tuple[Scheme, int]]) -> Scheme:
+    """Run each scheme on its own block of subfile slots, `count` times over.
+
+    The composite has sum(count * L) slots per file; over
+    DEFAULT_SYMMETRIZE_BUDGET it raises ResourceBudgetError before anything
+    is built.  When every block is an
+    OrbitScheme, so is the composite: each block keeps its file-symmetric
+    spans and the stabilizer contract on its own slots, so only the file
+    patterns are built, each with the same block-diagonal signal an
+    explicit composite gives that demand.  Otherwise every demand is built.
+    """
+    if any(count < 0 for _, count in parts):
+        raise ConfigurationError("block count must be nonnegative")
+    L_total = sum(scheme.L * count for scheme, count in parts)
+    if L_total > DEFAULT_SYMMETRIZE_BUDGET:
+        raise ResourceBudgetError(f"the composite needs {L_total} subfile slots per file, "
+                                  f"over the budget of {DEFAULT_SYMMETRIZE_BUDGET}")
+    instances = [scheme for scheme, count in parts for _ in range(count)]
     if not instances:
         raise ConfigurationError("nothing to concatenate")
     first = instances[0]
@@ -64,7 +79,6 @@ def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearSchem
         ):
             raise ConfigurationError("block schemes must share model, N, K, s and field")
     N, K = first.N, first.K
-    L_total = sum(sch.L for sch in instances)
     offsets = []
     acc = 0
     for sch in instances:
@@ -80,12 +94,13 @@ def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearSchem
         for k in range(1, K + 1)
     ]
 
-    demands = enumerate_demands(first.model, N, K, first.s)
+    orbit = all(isinstance(sch, OrbitScheme) for sch in instances)
+    demands = (enumerate_patterns if orbit else enumerate_demands)(first.model, N, K, first.s)
     delivery: dict[Demand, dict[int, SenderSignal]] = {}
     for d in demands:
         per_sender: dict[int, SenderSignal] = {}
         for k in senders_of(d):
-            blocks = [sch.delivery[d][k] for sch in instances]
+            blocks = [(sch.patterns if orbit else sch.delivery)[d][k] for sch in instances]
             widths = [sch.placement_rows(k) for sch in instances]
             total_w = sum(widths)
             images: list[int] = []
@@ -103,15 +118,17 @@ def concatenate_blocks(parts: Sequence[tuple[LinearScheme, int]]) -> LinearSchem
             )
         delivery[d] = per_sender
 
-    return LinearScheme(first.model, N, K, first.s, L_total, first.field,
-                        tuple(placement), delivery)
+    form = OrbitScheme if orbit else LinearScheme
+    return form(first.model, N, K, first.s, L_total, first.field, tuple(placement), delivery)
 
 
-def memory_share(a: LinearScheme, b: LinearScheme, alpha: Fraction) -> LinearScheme:
+def memory_share(a: Scheme, b: Scheme, alpha: Fraction) -> Scheme:
     """Run scheme a on the first alpha of every file and b on the rest.
 
     With alpha = p/q in lowest terms the composite splits each file into
     q*L_a*L_b slots; memory and every per-demand rate interpolate exactly.
+    A float alpha is taken exactly (0.4 has q = 2^53), so it usually
+    exceeds the slot budget of `concatenate_blocks`.
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
@@ -133,10 +150,12 @@ class SymmetrizedScheme:
     Presents the same accessor surface as LinearScheme.  Row counts and
     memory come lazily from exact orbit sums over the full permutation
     group.  Matrices come from `to_explicit`, built once on the first
-    placement or delivery read (practical only at small N).
+    placement or delivery read (practical only at small N; like every
+    composite, refused over DEFAULT_SYMMETRIZE_BUDGET slots per file even
+    when `budget` allows the accounting).
     """
 
-    def __init__(self, base: LinearScheme, budget: int = DEFAULT_SYMMETRIZE_BUDGET):
+    def __init__(self, base: Scheme, budget: int = DEFAULT_SYMMETRIZE_BUDGET):
         group_order = math.factorial(base.N) * math.factorial(base.K)
         L_total = group_order * base.L
         if L_total > budget:
@@ -221,6 +240,6 @@ class SymmetrizedScheme:
         return concatenate_blocks(copies)
 
 
-def symmetrize(scheme: LinearScheme, budget: int = DEFAULT_SYMMETRIZE_BUDGET) -> SymmetrizedScheme:
+def symmetrize(scheme: Scheme, budget: int = DEFAULT_SYMMETRIZE_BUDGET) -> SymmetrizedScheme:
     """All-permutation space sharing; never increases the worst-case rate."""
     return SymmetrizedScheme(scheme, budget=budget)

@@ -25,6 +25,7 @@ from d2dcache.model import (
     requesters_of,
     senders_of,
 )
+from d2dcache import sharing as sharing_mod
 from d2dcache.sharing import memory_share, symmetrize
 from d2dcache.verify import _recovery_groups, verify
 
@@ -514,6 +515,21 @@ def test_symmetrize_budget_guard():
         symmetrize(base)
     with pytest.raises(ResourceBudgetError):
         symmetrize(cached_2rr1s(CornerPointId.MDS_HALF, 2), budget=10)
+
+
+@pytest.mark.parametrize("alpha", [0.4, Fraction(1, 10 ** 9)], ids=["float 0.4", "1/10^9"])
+def test_memory_share_refuses_more_slots_than_the_budget(alpha, monkeypatch):
+    # 0.4 is taken exactly, as 3602879701896397/2^53: about 3.6e15 block copies
+    a = cached_2rr1s(CornerPointId.MDS_HALF, 2)
+    b = cached_2rr1s(CornerPointId.MAN_TWO_THIRDS, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was built before the slot budget check")
+
+    monkeypatch.setattr(sharing_mod, "_block_col_map", refuse)
+    monkeypatch.setattr(sharing_mod, "FieldMatrix", refuse)
+    with pytest.raises(ResourceBudgetError, match="subfile slots"):
+        memory_share(a, b, alpha)
 
 
 def test_symmetrized_transmissions_decode(catalog_2rr1s):

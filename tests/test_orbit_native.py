@@ -2,10 +2,14 @@
 
 Each OrbitScheme is checked against its own expansion: the LinearScheme
 that holds `dict(scheme.delivery)`, in which every demand's rows are
-explicit and verify decides them through the exact-match path.
+explicit and verify decides them through the exact-match path.  Memory
+shares and rotations of OrbitSchemes are checked against the same
+transform applied to the expansions.
 """
 
 import importlib
+import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +21,7 @@ from conftest import (
     cached_traditional,
     placement_with_file_one_reversed,
 )
+from d2dcache.adapters import adapt_request_random, rotate_2rr1s
 from d2dcache.catalog import CornerPointId
 from d2dcache.errors import ConfigurationError
 from d2dcache.field import GF2, FieldMatrix
@@ -25,9 +30,12 @@ from d2dcache.model import (
     OrbitScheme,
     SenderSignal,
     canonical_file_pattern,
+    encoded_signal,
     enumerate_demands,
     enumerate_patterns,
+    unit_image,
 )
+from d2dcache.sharing import memory_share
 
 # `d2dcache.verify` is rebound to the function by the package, so fetch the module.
 verify_mod = importlib.import_module("d2dcache.verify")
@@ -83,8 +91,7 @@ def test_verify_matches_the_expanded_scheme(label, scheme):
         assert scheme.delivery_row_counts(d) == expanded.delivery_row_counts(d)
 
 
-@pytest.mark.parametrize("label,scheme", ORBIT_NATIVE, ids=IDS)
-def test_verify_multiplies_out_and_decides_only_patterns(label, scheme, monkeypatch):
+def _assert_verify_reads_only_patterns(scheme, monkeypatch):
     sent, decided = [], []
     transmitted, decide = OrbitScheme.transmitted_rows, verify_mod._decide
 
@@ -103,6 +110,11 @@ def test_verify_multiplies_out_and_decides_only_patterns(label, scheme, monkeypa
     assert sent == patterns
     assert decided == patterns
     assert len(report.demands) > len(patterns)
+
+
+@pytest.mark.parametrize("label,scheme", ORBIT_NATIVE, ids=IDS)
+def test_verify_multiplies_out_and_decides_only_patterns(label, scheme, monkeypatch):
+    _assert_verify_reads_only_patterns(scheme, monkeypatch)
 
 
 def test_delivery_builds_each_demand_once(monkeypatch):
@@ -176,3 +188,112 @@ def test_constructor_rejects_what_the_orbit_form_cannot_hold():
     # the explicit form accepts the reversed placement, and verify checks every demand in full
     explicit = LinearScheme(*args, placement_with_file_one_reversed(scheme), dict(scheme.delivery))
     assert verify(explicit) == verify(scheme)
+
+
+def test_constructor_rejects_rows_that_move_with_unrequested_files():
+    scheme = cached_2rr1s(CornerPointId.MDS_HALF, 3)
+    N, L = scheme.N, scheme.L
+    parity = {n: unit_image(N, L, n, 1) ^ unit_image(N, L, n, 2) for n in range(1, N + 1)}
+    # (0, 1, 1) requests file 1 only; parity[2] moves when files 2 and 3 swap, so the
+    # delivery of (0, 2, 2) or (0, 3, 3) would depend on which relabelling is chosen
+    moving = encoded_signal(scheme.placement[0], [parity[1], parity[2]])
+    args = (scheme.model, N, scheme.K, scheme.s, L, scheme.field, scheme.placement)
+    with pytest.raises(ConfigurationError, match=r"pattern \(0, 1, 1\) sends rows that move"):
+        OrbitScheme(*args, {**scheme.patterns, (0, 1, 1): {1: moving}})
+    OrbitScheme(*args, scheme.patterns)  # the builder's own rows touch only requested files
+
+
+# ---------------------------------------------------------------------------
+# transforms: memory shares and rotations of OrbitSchemes
+# ---------------------------------------------------------------------------
+
+MDS, MAN, HALF, FULL = (CornerPointId.MDS_HALF, CornerPointId.MAN_TWO_THIRDS,
+                        CornerPointId.HALF_RATE, CornerPointId.FULL)
+
+
+def _share(first, second, N, alpha=Fraction(1, 3)):
+    return memory_share(cached_2rr1s(first, N), cached_2rr1s(second, N), alpha)
+
+
+def test_which_transforms_stay_orbit_native():
+    for N in (2, 3):
+        assert isinstance(_share(MDS, MAN, N), OrbitScheme)
+        assert isinstance(_share(HALF, FULL, N, Fraction(1, 2)), OrbitScheme)
+        for point in (FULL, MDS, MAN):
+            assert isinstance(rotate_2rr1s(cached_2rr1s(point, N)), OrbitScheme)
+        # half-rate's user-2 rows cross files and rotate to raw rows
+        assert isinstance(rotate_2rr1s(cached_2rr1s(HALF, N)), LinearScheme)
+        assert isinstance(adapt_request_random(cached_2rr1s(MDS, N)).scheme, LinearScheme)
+    assert isinstance(rotate_2rr1s(_share(MDS, MAN, 2)), OrbitScheme)
+    n2 = cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2)
+    assert isinstance(memory_share(cached_2rr1s(MDS, 2), n2, Fraction(1, 2)), LinearScheme)
+    assert isinstance(rotate_2rr1s(n2), LinearScheme)
+    kuser = memory_share(cached_kuser(CornerPointId.KU_MAN, 3, 4, 1),
+                         cached_kuser(CornerPointId.KU_FULL, 3, 4, 1), Fraction(1, 2))
+    assert isinstance(kuser, OrbitScheme)
+
+
+def _assert_same_scheme(got, want):
+    """Equal placement, equal signals and transmitted images for every demand, equal reports."""
+    assert (got.model, got.N, got.K, got.s, got.L, got.field) == (
+        want.model, want.N, want.K, want.s, want.L, want.field)
+    assert [P.images for P in got.placement] == [P.images for P in want.placement]
+    demands = enumerate_demands(want.model, want.N, want.K, want.s)
+    assert list(got.delivery_demands()) == list(want.delivery_demands()) == demands
+    for d in demands:
+        coeffs = {k: (sig.matrix.images, sig.raw_rows and sig.raw_rows.images)
+                  for k, sig in got.delivery[d].items()}
+        assert coeffs == {k: (sig.matrix.images, sig.raw_rows and sig.raw_rows.images)
+                          for k, sig in want.delivery[d].items()}, d
+        assert ({k: m.images for k, m in got.transmitted_rows(d).items()}
+                == {k: m.images for k, m in want.transmitted_rows(d).items()}), d
+    assert verify(got).to_json_dict() == verify(want).to_json_dict()
+
+
+def _rotation_cases():
+    for N in (2, 3, 4, 5):
+        for point in TWO_RR_POINTS:
+            yield f"{point.value}/N={N}", lambda p=point, n=N: cached_2rr1s(p, n)
+    for N in (2, 3):
+        yield f"share(mds-half, man-2-3)/N={N}", lambda n=N: _share(MDS, MAN, n)
+
+
+def _share_cases():
+    for N in (2, 3):
+        for first, second in itertools.combinations(TWO_RR_POINTS, 2):
+            yield (f"{first.value}+{second.value}/N={N}",
+                   lambda a=first, b=second, n=N: (cached_2rr1s(a, n), cached_2rr1s(b, n)))
+    yield "coded-1-1+coded-1-1", lambda: (cached_traditional(), cached_traditional())
+    for N, K, s in ((2, 3, 1), (3, 4, 1)):
+        yield (f"ku-man+ku-full/{N},{K},{s}",
+               lambda n=N, k=K, s=s: (cached_kuser(CornerPointId.KU_MAN, n, k, s),
+                                      cached_kuser(CornerPointId.KU_FULL, n, k, s)))
+
+
+ROTATIONS = list(_rotation_cases())
+SHARES = list(_share_cases())
+
+
+@pytest.mark.parametrize("label,base", ROTATIONS, ids=[label for label, _ in ROTATIONS])
+def test_rotation_equals_the_rotation_of_the_expanded_base(label, base):
+    base = base()
+    _assert_same_scheme(rotate_2rr1s(base), rotate_2rr1s(_expanded(base)))
+
+
+@pytest.mark.parametrize("label,pair", SHARES, ids=[label for label, _ in SHARES])
+def test_share_equals_the_share_of_the_expanded_blocks(label, pair):
+    a, b = pair()
+    alpha = Fraction(2, 5)
+    got = memory_share(a, b, alpha)
+    assert isinstance(got, OrbitScheme)
+    _assert_same_scheme(got, memory_share(_expanded(a), _expanded(b), alpha))
+
+
+@pytest.mark.parametrize("make", [lambda: _share(HALF, MAN, 3, Fraction(2, 5)),
+                                  lambda: rotate_2rr1s(cached_2rr1s(MDS, 3)),
+                                  lambda: rotate_2rr1s(cached_2rr1s(MAN, 3))],
+                         ids=["share(half-rate, man-2-3)", "rotate(mds-half)", "rotate(man-2-3)"])
+def test_verify_of_a_transform_decides_only_patterns(make, monkeypatch):
+    scheme = make()
+    assert isinstance(scheme, OrbitScheme)
+    _assert_verify_reads_only_patterns(scheme, monkeypatch)
