@@ -132,7 +132,7 @@ def _rotated_signal(base: Scheme, new_P: FieldMatrix, d: Demand, sender: int,
     """
     d1, d2, d3 = d
     base_demand = {1: (0, d2, d3), 2: (d1, 0, d3), 3: (d1, d2, 0)}[sender]
-    sig = base.delivery[base_demand][sender]
+    sig = base.signals(base_demand)[sender]
     a_map, b_map = _coeff_maps(sig.matrix.ncols)
     if sender != 2:
         return SenderSignal(sig.matrix.map_columns(a_map if sender == 1 else b_map, new_P.nrows))

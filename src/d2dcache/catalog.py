@@ -7,12 +7,12 @@ symbols is the XOR of their images.  A delivery row designed in symbol
 space is expressed over the sender's cache (`model.encoded_signal`), so a
 construction bug surfaces as an EncodingError instead of a bad scheme.
 
-Most builders index their delivery rows by requester, so relabelling the
-files of a demand relabels its rows.  They write one delivery per file
-pattern and return an OrbitScheme.  Two stay explicit LinearSchemes,
-because moved rows would come out in another order than they write:
-kuser/mds sends cached rows in ascending file order as they are, and
-n2-7-8 lists fixed symbols.
+Relabelling the files of a demand relabels its delivery rows, so every
+builder but one writes one delivery per file pattern and returns an
+OrbitScheme; a moved kuser/mds demand sends its rows in first-appearance
+order of its files.  n2-7-8 stays an explicit LinearScheme: it has only
+12 demands, and its rows list symbols of both files in a fixed order
+(A4, B4, ...) that a moved demand would send swapped, changing its export.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ def build_kuser_scheme(point: CornerPointId, N: int, K: int, s: int) -> Scheme:
     raise ConfigurationError(f"{point.value} is not a K-user corner point")
 
 
-def _kuser_mds(N: int, K: int, s: int) -> LinearScheme:
+def _kuser_mds(N: int, K: int, s: int) -> OrbitScheme:
     spec = FieldSpec(min_extension_degree(K))
     L = s + 1
     G = mds_generator(K, L, spec)
@@ -304,15 +304,13 @@ def _kuser_mds(N: int, K: int, s: int) -> LinearScheme:
                                           for n in range(1, N + 1)))
         for g in G.images
     )
-    # every sender sends cache row f - 1, its one coded symbol of file f, as it is
-    cache_row = {f: unit_image(N, 1, f, 1, spec.m) for f in range(1, N + 1)}
-    delivery = {}
-    for d in enumerate_demands(ModelKind.K_USER_S_SENDERS, N, K, s):
-        distinct = sorted({v for v in d if v})
-        units = tuple(cache_row[f] for f in distinct)
-        signal = SenderSignal(FieldMatrix(spec, len(units), N, units))
-        delivery[d] = {k: signal for k in senders_of(d)}
-    return LinearScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, spec, placement, delivery)
+    # every sender sends cache rows 0..max(d) - 1, its coded symbols of files
+    # 1..max(d), as they are: one signal per file count, shared by all senders
+    units = tuple(unit_image(N, 1, f, 1, spec.m) for f in range(1, N + 1))
+    signal = [SenderSignal(FieldMatrix(spec, j, N, units[:j])) for j in range(N + 1)]
+    patterns = {d: dict.fromkeys(senders_of(d), signal[max(d)])
+                for d in enumerate_patterns(ModelKind.K_USER_S_SENDERS, N, K, s)}
+    return OrbitScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, spec, placement, patterns)
 
 
 def _kuser_man(N: int, K: int, s: int) -> OrbitScheme:

@@ -31,8 +31,9 @@ demand in enumeration order.  Two scheme forms share one accessor surface:
   the pattern's transmitted rows moved by pi (`file_relabelling`,
   `move_files`).  A pattern's rows must be fixed by every permutation of
   the files it does not request, so that definition does not depend on
-  which pi is chosen.  Its `delivery` expresses them over each sender's
-  cache, for every demand at once, the first time it is read.
+  which pi is chosen.  `signals(d)` expresses them over each sender's
+  cache; `delivery` does so for every demand at once, the first time it
+  is read, and shares one signal between equal encodings.
 
 Every demand is listed and reported, so the demand count is capped at
 `DEMAND_BUDGET` before anything is enumerated.
@@ -359,6 +360,9 @@ class LinearScheme(_Placement):
                 raise ConfigurationError(f"demand {d} requests a file outside 1..{self.N}")
             self._check_signals(d, per_sender)
 
+    def signals(self, d: Demand) -> dict[int, SenderSignal]:
+        return self.delivery[d]
+
     def delivery_row_counts(self, d: Demand) -> dict[int, int]:
         return {k: sig.row_count for k, sig in self.delivery[d].items()}
 
@@ -452,26 +456,43 @@ class OrbitScheme(_Placement):
         return {k: FieldMatrix(self.field, len(images), cols, images)
                 for k, images in self._moved_images(self._pattern(d), d).items()}
 
+    def signals(self, d: Demand) -> dict[int, SenderSignal]:
+        """Demand d's signal per sender, built on its own."""
+        return self._signals(self._pattern(d), d, {}, {})
+
+    def _signals(self, pattern: Demand, d: Demand, seen: dict,
+                 interned: dict) -> dict[int, SenderSignal]:
+        """d's signal per sender: its pattern's, or its moved rows expressed.
+
+        A sender with no rows keeps the pattern's signal.  Across calls,
+        `seen`, keyed (sender, moved images), expresses each row set once, and
+        `interned`, keyed (cache rows, coefficient images), hands out one
+        signal per encoding.
+        """
+        stored = self.patterns[pattern]
+        if d == pattern:
+            return stored
+        out = {}
+        for k, images in self._moved_images(pattern, d).items():
+            sig = seen.get((k, images)) if images else stored[k]
+            if sig is None:
+                new = encoded_signal(self.placement[k - 1], images)
+                key = (new.matrix.ncols, new.matrix.images)
+                sig = seen[k, images] = interned.setdefault(key, new)
+            out[k] = sig
+        return out
+
     @functools.cached_property
     def delivery(self) -> Mapping[Demand, dict[int, SenderSignal]]:
-        """Every demand's delivery, read-only, built once on first access.
+        """Every demand's signals, read-only, built once on first access.
 
-        A pattern keeps its stored signals.  Another demand's signals express
-        its moved rows over each sender's cached echelon, and a sender with
-        no rows keeps the pattern's (shared) signal.
+        Equal encodings share one signal, a pattern's where one has it.
         """
-        out = {}
-        for d in enumerate_demands(self.model, self.N, self.K, self.s):
-            pattern = canonical_file_pattern(d)
-            stored = self.patterns[pattern]
-            if d == pattern:
-                out[d] = stored
-                continue
-            moved = self._moved_images(pattern, d)
-            out[d] = {k: encoded_signal(self.placement[k - 1], moved[k])
-                      if sig.matrix.nrows else sig
-                      for k, sig in stored.items()}
-        return MappingProxyType(out)
+        interned = {(sig.matrix.ncols, sig.matrix.images): sig
+                    for per_sender in self.patterns.values() for sig in per_sender.values()}
+        seen: dict = {}
+        return MappingProxyType({d: self._signals(canonical_file_pattern(d), d, seen, interned)
+                                 for d in enumerate_demands(self.model, self.N, self.K, self.s)})
 
     def delivery_demands(self) -> Iterable[Demand]:
         return enumerate_demands(self.model, self.N, self.K, self.s)

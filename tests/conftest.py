@@ -9,8 +9,16 @@ from d2dcache.catalog import (
     build_traditional_scheme,
 )
 from d2dcache.errors import ConfigurationError
-from d2dcache.field import FieldMatrix, RowSpan
-from d2dcache.model import symbol_col
+from d2dcache.field import FieldMatrix, FieldSpec, RowSpan, mds_generator, min_extension_degree
+from d2dcache.model import (
+    LinearScheme,
+    ModelKind,
+    SenderSignal,
+    enumerate_demands,
+    senders_of,
+    symbol_col,
+    unit_image,
+)
 from d2dcache.verify import _file_decodable
 
 TWO_RR_POINTS = (
@@ -136,3 +144,26 @@ def xor_rows(*rows):
         for i, v in enumerate(r):
             out[i] ^= v
     return tuple(out)
+
+
+def explicit_kuser_mds(N, K, s):
+    """kuser/mds written demand by demand, rows in ascending file order: an oracle.
+
+    The builtin writes one delivery per file pattern, so a moved demand sends
+    the same rows in first-appearance order of its files instead.
+    """
+    spec = FieldSpec(min_extension_degree(K))
+    L = s + 1
+    G = mds_generator(K, L, spec)
+    placement = tuple(
+        FieldMatrix(spec, N, N * L, tuple(g * unit_image(N, L, n, 1, spec.m)
+                                          for n in range(1, N + 1)))
+        for g in G.images
+    )
+    cache_row = {f: unit_image(N, 1, f, 1, spec.m) for f in range(1, N + 1)}
+    delivery = {}
+    for d in enumerate_demands(ModelKind.K_USER_S_SENDERS, N, K, s):
+        units = tuple(cache_row[f] for f in sorted({v for v in d if v}))
+        signal = SenderSignal(FieldMatrix(spec, len(units), N, units))
+        delivery[d] = {k: signal for k in senders_of(d)}
+    return LinearScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, spec, placement, delivery)

@@ -9,7 +9,7 @@ from d2dcache.adapters import adapt_request_random, rotate_2rr1s
 from d2dcache.catalog import CornerPointId, build_2rr1s_scheme, build_kuser_scheme, corner_value
 from d2dcache.curves import RatePoint, envelope
 from d2dcache.errors import ConfigurationError, FeasibilityError, ResourceBudgetError
-from d2dcache.io import dump_scheme
+from d2dcache.io import dump_scheme, load_scheme_text
 from d2dcache.sharing import memory_share
 from d2dcache.verify import verify
 
@@ -19,6 +19,7 @@ from conftest import (
     cached_2rr1s,
     cached_kuser,
     cached_traditional,
+    explicit_kuser_mds,
     row_set,
     unit_row,
     xor_rows,
@@ -204,7 +205,10 @@ def test_envelope_needs_points():
 # sha256 of dump_scheme(...) for each builtin, recorded from the tuple-row
 # builders; no other test checks exact row order or coefficients.  The
 # rotated and adapted entries pin the part a or b the rotation gives each of
-# user 2's rows, which it works out from the base's rows alone.
+# user 2's rows, which it works out from the base's rows alone.  The kuser/mds
+# entries were re-recorded when that builder came to write one delivery per
+# file pattern: a moved demand sends its rows in first-appearance order of its
+# files, not in ascending file order, and nothing else changed.
 EXPORT_DIGESTS = {
     "2rr1s/full N=2": "a35e04ac996f5acc7a24f27cf68939d993b6e2f5215d2d27c457806aa0066738",
     "2rr1s/mds-half N=2": "cc8d13d5f2a6a59a792cf424b42d6e30e8b3837f83271bfb10e9a4d28d373b6e",
@@ -221,9 +225,9 @@ EXPORT_DIGESTS = {
     "2rr1s/n2-7-8 N=2": "a3b1caba40f7d9a632be9f1beb05e71a4e99913b15bff84cf149a76d368c7619",
     "trad/coded-1-1 N=2": "187e6d1d8767ff37e8db2ca297fcae6884024fba9f306ce31d8aa08af62d6749",
     "kuser/man N=4 K=5 s=2": "187913cdd60f19cde9b811836bd1e3ae002da04cd333f55cbc03f6dd28a9c7db",
-    "kuser/mds N=4 K=5 s=2": "ce96dfa19a9643b9b4bf57913956b75a2834d4015a28e240692c3ae64901f558",
+    "kuser/mds N=4 K=5 s=2": "f18883c485f0c72ea7be57d11328db63e2e561a134d751ac40fc033a23288285",
     "kuser/man N=4 K=6 s=3": "83660742f85d07eabbe55b02b831ca25414b67b32248d78d700268f17e2a445c",
-    "kuser/mds N=4 K=6 s=3": "9afee2d1977ccdb4f519254f453742cdc10056537a0aa7df5d534220bf464ae2",
+    "kuser/mds N=4 K=6 s=3": "daa09d6274846f95771281346ac2b6116c265761519bec85a2b3305237430e4b",
     "rotate 2rr1s/mds-half N=2": "0788cb1847dad05d9fd17a69da8947086187726a4a08d87b24a7cf0da52b5884",
     "rotate 2rr1s/mds-half N=3": "6c6af3b42b28c35e728bfaa412d6df806e3cd294dfc84e1b712164f40dc48313",
     "rotate 2rr1s/man-2-3 N=2": "259d04b75414ffa145e8fdd4aaffa22b2a6a869cd1699b8b421fd7e962aa164c",
@@ -261,3 +265,19 @@ PINNED = list(_pinned_schemes())
 def test_builder_output_is_pinned(name, make):
     text = dump_scheme(make())
     assert hashlib.sha256(text.encode()).hexdigest() == EXPORT_DIGESTS[name]
+
+
+# sha256 of the kuser/mds exports before that re-recording, in ascending row order
+ASCENDING_MDS_DIGESTS = {
+    (4, 5, 2): "ce96dfa19a9643b9b4bf57913956b75a2834d4015a28e240692c3ae64901f558",
+    (4, 6, 3): "9afee2d1977ccdb4f519254f453742cdc10056537a0aa7df5d534220bf464ae2",
+}
+
+
+@pytest.mark.parametrize("N,K,s", list(ASCENDING_MDS_DIGESTS))
+def test_ascending_kuser_mds_exports_still_load_and_verify(N, K, s):
+    text = dump_scheme(explicit_kuser_mds(N, K, s))
+    assert hashlib.sha256(text.encode()).hexdigest() == ASCENDING_MDS_DIGESTS[N, K, s]
+    builtin = cached_kuser(CornerPointId.KU_MDS, N, K, s)
+    assert text != dump_scheme(builtin)
+    assert verify(load_scheme_text(text)).to_json_dict() == verify(builtin).to_json_dict()

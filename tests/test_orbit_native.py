@@ -4,11 +4,13 @@ Each OrbitScheme is checked against its own expansion: the LinearScheme
 that holds `dict(scheme.delivery)`, in which every demand's rows are
 explicit and verify decides them through the exact-match path.  Memory
 shares and rotations of OrbitSchemes are checked against the same
-transform applied to the expansions.
+transform applied to the expansions, and kuser/mds against the explicit
+builder it replaced (`conftest.explicit_kuser_mds`), up to row order.
 """
 
 import importlib
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from conftest import (
     cached_2rr1s,
     cached_kuser,
     cached_traditional,
+    explicit_kuser_mds,
     placement_with_file_one_reversed,
 )
 from d2dcache.adapters import adapt_request_random, rotate_2rr1s
@@ -49,7 +52,7 @@ def _orbit_native():
         for point in TWO_RR_POINTS:
             out.append((f"{point.value}/N={N}", cached_2rr1s(point, N)))
     out.append(("trad/coded-1-1", cached_traditional()))
-    for point in (CornerPointId.KU_MAN, CornerPointId.KU_FULL):
+    for point in (CornerPointId.KU_MDS, CornerPointId.KU_MAN, CornerPointId.KU_FULL):
         for N, K, s in KUSER_CASES:
             out.append((f"{point.value}/{N},{K},{s}", cached_kuser(point, N, K, s)))
     return out
@@ -72,8 +75,8 @@ def _fresh(scheme) -> OrbitScheme:
 
 def test_which_builtins_are_orbit_native():
     assert all(isinstance(scheme, OrbitScheme) for _, scheme in ORBIT_NATIVE)
-    # their rows would come out reordered if moved: see the catalog docstring
-    assert isinstance(cached_kuser(CornerPointId.KU_MDS, 4, 5, 2), LinearScheme)
+    assert isinstance(cached_kuser(CornerPointId.KU_MDS, 4, 5, 2), OrbitScheme)
+    # only n2-7-8 stays explicit: see the catalog docstring
     assert isinstance(cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2), LinearScheme)
 
 
@@ -160,6 +163,43 @@ def test_delivery_mapping_holds_exactly_the_model_demands():
             scheme.delivery_row_counts(outside)
     with pytest.raises(TypeError):
         scheme.delivery[(0, 1, 2, 1)] = {}
+
+
+@pytest.mark.parametrize("label,scheme", ORBIT_NATIVE, ids=IDS)
+def test_delivery_expresses_the_moved_rows(label, scheme):
+    for d, per in scheme.delivery.items():
+        moved = scheme.transmitted_rows(d)
+        assert per == {k: encoded_signal(scheme.placement[k - 1], moved[k].images)
+                       for k in per}, d
+        assert scheme.signals(d) == per
+
+
+@pytest.mark.parametrize("N,K,s", KUSER_CASES)
+def test_kuser_mds_matches_the_explicit_oracle(N, K, s):
+    scheme = cached_kuser(CornerPointId.KU_MDS, N, K, s)
+    oracle = explicit_kuser_mds(N, K, s)
+    assert verify(scheme).to_json_dict() == verify(oracle).to_json_dict()
+    assert [P.images for P in scheme.placement] == [P.images for P in oracle.placement]
+    assert list(scheme.delivery) == list(oracle.delivery)
+    for d, per in scheme.delivery.items():
+        # the same rows; a moved demand lists them in first-appearance order of its files
+        assert ({k: (sorted(sig.matrix.images), sig.raw_rows) for k, sig in per.items()}
+                == {k: (sorted(sig.matrix.images), sig.raw_rows)
+                    for k, sig in oracle.delivery[d].items()}), d
+
+
+@pytest.mark.parametrize("N,K,s", KUSER_CASES)
+def test_kuser_mds_delivery_shares_equal_signals(N, K, s):
+    scheme = _fresh(cached_kuser(CornerPointId.KU_MDS, N, K, s))
+    by_coeffs = {}
+    for d, per in scheme.delivery.items():
+        assert len({id(sig) for sig in per.values()}) == 1, d
+        for sig in per.values():
+            by_coeffs.setdefault((sig.matrix.ncols, sig.matrix.images), set()).add(id(sig))
+    assert all(len(ids) == 1 for ids in by_coeffs.values())
+    # one signal per ordered choice of the requested files
+    requested = range(1, min(N, K - s) + 1)
+    assert len(by_coeffs) == sum(math.perm(N, j) for j in requested)
 
 
 def _without(patterns, d):
@@ -297,3 +337,11 @@ def test_verify_of_a_transform_decides_only_patterns(make, monkeypatch):
     scheme = make()
     assert isinstance(scheme, OrbitScheme)
     _assert_verify_reads_only_patterns(scheme, monkeypatch)
+
+
+def test_rotation_reads_base_signals_without_expanding_the_base():
+    base = _fresh(cached_2rr1s(MDS, 4))
+    rotated = rotate_2rr1s(base)
+    assert isinstance(rotated, OrbitScheme)
+    assert "delivery" not in vars(base)
+    _assert_same_scheme(rotated, rotate_2rr1s(cached_2rr1s(MDS, 4)))
