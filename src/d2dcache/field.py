@@ -26,6 +26,7 @@ from .errors import ConfigurationError, FieldDomainError
 # lexicographically smallest irreducible polynomial.
 _PREFERRED_MODULI = {8: 0x11B}
 
+# Largest degree whose modulus search by trial division stays cheap.
 _EXHAUSTIVE_CHECK_LIMIT = 16
 
 
@@ -85,8 +86,9 @@ def default_modulus(m: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _tables(m: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+def _tables(m: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """(exp, log, generator) tables for the multiplicative group."""
+    modulus = default_modulus(m)
     order = (1 << m) - 1
     generator = None
     for g in range(2, 1 << m):
@@ -115,22 +117,15 @@ def _tables(m: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...], int
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """GF(2^m) with a pinned modulus; m=1 is plain GF(2)."""
+    """GF(2^m) modulo `default_modulus(m)`; m=1 is plain GF(2)."""
 
     m: int = 1
-    modulus: int = dc_field(default=0)
+    modulus: int = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ConfigurationError("extension degree m must be >= 1")
-        if self.modulus == 0:
-            object.__setattr__(self, "modulus", default_modulus(self.m))
-        if poly_degree(self.modulus) != self.m:
-            raise ConfigurationError(
-                f"modulus degree {poly_degree(self.modulus)} != m={self.m}"
-            )
-        if self.m <= _EXHAUSTIVE_CHECK_LIMIT and not is_irreducible(self.modulus):
-            raise ConfigurationError(f"modulus {self.modulus:#x} is reducible")
+        object.__setattr__(self, "modulus", default_modulus(self.m))
 
     @property
     def size(self) -> int:
@@ -149,7 +144,7 @@ class FieldSpec:
             return a & b
         if a == 0 or b == 0:
             return 0
-        exp, log, _ = _tables(self.m, self.modulus)
+        exp, log, _ = _tables(self.m)
         return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
@@ -157,7 +152,7 @@ class FieldSpec:
             raise FieldDomainError("0 has no multiplicative inverse")
         if self.m == 1:
             return 1
-        exp, log, _ = _tables(self.m, self.modulus)
+        exp, log, _ = _tables(self.m)
         return exp[(self.size - 1) - log[a]]
 
     def pow(self, a: int, e: int) -> int:
@@ -167,7 +162,7 @@ class FieldSpec:
         return out
 
     def generator(self) -> int:
-        return _tables(self.m, self.modulus)[2]
+        return _tables(self.m)[2]
 
 
 GF2 = FieldSpec(1)

@@ -4,9 +4,9 @@ Both transformations lay copies of base schemes on disjoint subfile-slot
 blocks of every file.  Memory sharing builds the composite scheme, and a
 composite of OrbitSchemes is built once per file pattern.
 Symmetrization over all joint user/file permutations returns a scheme
-whose rate accounting is lazy, computed exactly from orbit sums, since
-the explicit matrices grow with N!.K!; its matrices come from
-`to_explicit`, built once on first use.
+whose rate accounting is one pass over the base, summed per joint
+(demand, sender) orbit type, since the explicit matrices grow with N!.K!;
+only `to_explicit` enumerates the permutations, once, on first use.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -25,8 +26,6 @@ from .model import (
     OrbitScheme,
     Scheme,
     SenderSignal,
-    apply_demand_perm,
-    canonical_file_pattern,
     enumerate_demands,
     enumerate_patterns,
     permute_scheme,
@@ -144,24 +143,33 @@ def memory_share(a: Scheme, b: Scheme, alpha: Fraction) -> Scheme:
     return concatenate_blocks(parts)
 
 
+def _joint_type(d: Demand, j: int) -> tuple[tuple[int, ...], int]:
+    """The orbit of (demand d, sender j) under joint user and file relabelling.
+
+    It is fixed by the sorted request counts of d's files and by how many
+    users request j's file (0 when j is idle).
+    """
+    counts = Counter(v for v in d if v)
+    return tuple(sorted(counts.values())), counts[d[j - 1]]
+
+
 class SymmetrizedScheme:
     """Space-sharing of every jointly permuted copy of a base scheme.
 
-    Presents the same accessor surface as LinearScheme.  Row counts and
-    memory come lazily from exact orbit sums over the full permutation
-    group.  Matrices come from `to_explicit`, built once on the first
-    placement or delivery read (practical only at small N; like every
-    composite, refused over DEFAULT_SYMMETRIZE_BUDGET slots per file even
-    when `budget` allows the accounting).
+    Presents the same accessor surface as LinearScheme.  Copy g sends, for
+    sender j at demand d, the base's rows at g^-1(d, j); so over the group
+    G, j's count is |G| / |orbit| times the base's counts summed over the
+    joint orbit of (d, j), which the constructor sums per `_joint_type` in
+    one pass over the base.  All else reads `to_explicit`, the only
+    enumeration of G, built once on first use (practical only at small N).
     """
 
-    def __init__(self, base: Scheme, budget: int = DEFAULT_SYMMETRIZE_BUDGET):
+    def __init__(self, base: Scheme):
         group_order = math.factorial(base.N) * math.factorial(base.K)
         L_total = group_order * base.L
-        if L_total > budget:
-            raise ResourceBudgetError(
-                f"symmetrization needs {L_total} subfile slots per file, over the budget of {budget}"
-            )
+        if L_total > DEFAULT_SYMMETRIZE_BUDGET:
+            raise ResourceBudgetError(f"symmetrization needs {L_total} subfile slots per file, "
+                                      f"over the budget of {DEFAULT_SYMMETRIZE_BUDGET}")
         self.base = base
         self.model = base.model
         self.N = base.N
@@ -169,15 +177,18 @@ class SymmetrizedScheme:
         self.s = base.s
         self.L = L_total
         self.field = base.field
-        self.group = [
-            (up, fp)
-            for up in itertools.permutations(range(1, base.K + 1))
-            for fp in itertools.permutations(range(1, base.N + 1))
-        ]
         self._demands = enumerate_demands(base.model, base.N, base.K, base.s)
-        self._base_sender_rows = {d: base.delivery_row_counts(d) for d in base.delivery_demands()}
-        self._user_perms = list(itertools.permutations(range(1, base.K + 1)))
-        self._orbit_cache: dict[tuple[Demand, int], int] = {}
+        type_rows = defaultdict(list)
+        for e in self._demands:
+            try:
+                counts = base.delivery_row_counts(e)
+            except KeyError:
+                raise ConfigurationError(f"the base has no delivery for demand {e}") from None
+            for i, rows in counts.items():
+                type_rows[_joint_type(e, i)].append(rows)
+        # each list holds one count per orbit member; its length divides |G|
+        self._type_rows = {t: group_order // len(rows) * sum(rows)
+                           for t, rows in type_rows.items()}
 
     # -- accounting ---------------------------------------------------------
 
@@ -196,37 +207,25 @@ class SymmetrizedScheme:
         total = sum(self.base.placement_rows(j) for j in range(1, self.K + 1))
         return math.factorial(self.N) * math.factorial(self.K - 1) * total
 
-    def _relabel_sum(self, pattern: Demand, sender: int) -> int:
-        """Sum of base sender-row counts over all file relabelings of pattern.
-
-        The pattern requests files 1..r, so each relabelling is fixed by the
-        images of those r files and is counted (N-r)! times.
-        """
-        key = (pattern, sender)
-        cached = self._orbit_cache.get(key)
-        if cached is None:
-            users = tuple(range(1, self.K + 1))
-            r = max(pattern)
-            total = sum(self._base_sender_rows[apply_demand_perm(pattern, users, image)][sender]
-                        for image in itertools.permutations(range(1, self.N + 1), r))
-            cached = self._orbit_cache[key] = total * math.factorial(self.N - r)
-        return cached
-
     def delivery_row_counts(self, d: Demand) -> dict[int, int]:
-        identity_fp = tuple(range(1, self.N + 1))
-        counts = {k: 0 for k in senders_of(d)}
-        for v in self._user_perms:
-            moved = apply_demand_perm(d, v, identity_fp)
-            pattern = canonical_file_pattern(moved)
-            for j in counts:
-                counts[j] += self._relabel_sum(pattern, v[j - 1])
-        return counts
+        return {j: self._type_rows[_joint_type(d, j)] for j in senders_of(d)}
 
     # -- matrices -----------------------------------------------------------
 
     @functools.cached_property
     def _explicit(self) -> LinearScheme:
         return self.to_explicit()
+
+    @property
+    def placement(self) -> tuple[FieldMatrix, ...]:
+        return self._explicit.placement
+
+    @property
+    def delivery(self) -> dict[Demand, dict[int, SenderSignal]]:
+        return self._explicit.delivery
+
+    def signals(self, d: Demand) -> dict[int, SenderSignal]:
+        return self._explicit.signals(d)
 
     def placement_matrix(self, k: int) -> FieldMatrix:
         return self._explicit.placement_matrix(k)
@@ -236,10 +235,12 @@ class SymmetrizedScheme:
 
     def to_explicit(self) -> LinearScheme:
         """Materialize the block-diagonal composite (small N only)."""
-        copies = [(permute_scheme(self.base, up, fp), 1) for up, fp in self.group]
+        copies = [(permute_scheme(self.base, up, fp), 1)
+                  for up in itertools.permutations(range(1, self.K + 1))
+                  for fp in itertools.permutations(range(1, self.N + 1))]
         return concatenate_blocks(copies)
 
 
-def symmetrize(scheme: Scheme, budget: int = DEFAULT_SYMMETRIZE_BUDGET) -> SymmetrizedScheme:
+def symmetrize(scheme: Scheme) -> SymmetrizedScheme:
     """All-permutation space sharing; never increases the worst-case rate."""
-    return SymmetrizedScheme(scheme, budget=budget)
+    return SymmetrizedScheme(scheme)

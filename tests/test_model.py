@@ -1,6 +1,7 @@
 """Scheme model: demand enumeration, verification, sharing, permutation."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -8,9 +9,11 @@ from types import SimpleNamespace
 import pytest
 
 import d2dcache
+from d2dcache.adapters import adapt_request_random, rotate_2rr1s
 from d2dcache.catalog import CornerPointId
 from d2dcache.errors import ConfigurationError, ResourceBudgetError
 from d2dcache.field import GF2, FieldMatrix
+from d2dcache.io import dump_scheme
 from d2dcache.model import (
     DEMAND_BUDGET,
     LinearScheme,
@@ -26,7 +29,7 @@ from d2dcache.model import (
     senders_of,
 )
 from d2dcache import sharing as sharing_mod
-from d2dcache.sharing import memory_share, symmetrize
+from d2dcache.sharing import DEFAULT_SYMMETRIZE_BUDGET, memory_share, symmetrize
 from d2dcache.verify import _recovery_groups, verify
 
 from conftest import (
@@ -468,27 +471,41 @@ def test_symmetrize_seven_eighths_keeps_worst_case():
     assert verify(sym, check_decodability=False).worst_case_rate == Fraction(7, 8)
 
 
-@pytest.mark.parametrize("point,N", [
-    (CornerPointId.MDS_HALF, 2),
-    (CornerPointId.MAN_TWO_THIRDS, 2),
-    (CornerPointId.N2_SEVEN_EIGHTHS, 2),
-    (CornerPointId.HALF_RATE, 3),
-])
-def test_lazy_accounting_matches_explicit_blocks(point, N):
-    base = cached_2rr1s(point, N)
+# Bases for the lazy-vs-explicit checks: catalog designs, a traditional-model
+# rotation and two request-random adaptations.
+SYMMETRIZED_BASES = {
+    "mds-half-2": lambda: cached_2rr1s(CornerPointId.MDS_HALF, 2),
+    "man-2-3-2": lambda: cached_2rr1s(CornerPointId.MAN_TWO_THIRDS, 2),
+    "n2-7-8-2": lambda: cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2),
+    "half-rate-3": lambda: cached_2rr1s(CornerPointId.HALF_RATE, 3),
+    "rotate(mds-half)-2": lambda: rotate_2rr1s(cached_2rr1s(CornerPointId.MDS_HALF, 2)),
+    "adapt(mds-half)-2": lambda: adapt_request_random(
+        cached_2rr1s(CornerPointId.MDS_HALF, 2)).scheme,
+    "adapt(n2-7-8)-2": lambda: adapt_request_random(
+        cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2)).scheme,
+}
+
+
+def _assert_counts_match_explicit(sym, explicit):
+    for d in enumerate_demands(sym.model, sym.N, sym.K, sym.s):
+        assert sym.delivery_row_counts(d) == {
+            k: sig.row_count for k, sig in explicit.delivery[d].items()
+        }, d
+
+
+@pytest.mark.parametrize("label", list(SYMMETRIZED_BASES))
+def test_lazy_accounting_matches_explicit_blocks(label):
+    base = SYMMETRIZED_BASES[label]()
     sym = symmetrize(base)
-    explicit = sym.to_explicit()
     lazy_report = verify(sym, check_decodability=False)
+    assert "_explicit" not in vars(sym)
+    explicit = sym.to_explicit()
     full_report = verify(explicit)
-    assert full_report.passed
+    assert full_report.passed == verify(base).passed
     assert lazy_report.memory == full_report.memory
     assert lazy_report.rate_table() == full_report.rate_table()
     assert verify(sym).to_json_dict() == full_report.to_json_dict()
-    demands = enumerate_demands(base.model, base.N, base.K, base.s)
-    for d in demands[:4]:
-        assert sym.delivery_row_counts(d) == {
-            k: sig.row_count for k, sig in explicit.delivery[d].items()
-        }
+    _assert_counts_match_explicit(sym, explicit)
 
 
 @pytest.mark.parametrize("point,N,K,s", [
@@ -503,18 +520,46 @@ def test_lazy_accounting_matches_explicit_for_kuser(point, N, K, s):
     full_report = verify(explicit, check_decodability=False)
     assert lazy_report.rate_table() == full_report.rate_table()
     assert lazy_report.memory == full_report.memory
-    for d in list(explicit.delivery)[:3]:
-        assert sym.delivery_row_counts(d) == {
-            k: sig.row_count for k, sig in explicit.delivery[d].items()
-        }
+    _assert_counts_match_explicit(sym, explicit)
+
+
+def _report(scheme):
+    return verify(scheme).to_json_dict()
+
+
+# Each transform, read out as a report or as dump text.
+SYMMETRIZED_TRANSFORMS = {
+    "memory_share": lambda s: _report(
+        memory_share(s, cached_2rr1s(CornerPointId.MAN_TWO_THIRDS, 2), Fraction(1, 2))),
+    "rotate_2rr1s": lambda s: _report(rotate_2rr1s(s)),
+    "adapt_request_random": lambda s: _report(adapt_request_random(s).scheme),
+    "dump_scheme": dump_scheme,
+    "permute_scheme": lambda s: _report(permute_scheme(s, (2, 3, 1), (2, 1))),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIZED_TRANSFORMS))
+def test_symmetrized_scheme_transforms_like_its_explicit_form(name):
+    transform = SYMMETRIZED_TRANSFORMS[name]
+    sym = symmetrize(cached_2rr1s(CornerPointId.MDS_HALF, 2))
+    assert transform(sym) == transform(sym.to_explicit())
+
+
+def test_symmetrize_names_a_demand_the_base_does_not_deliver():
+    base = cached_2rr1s(CornerPointId.MDS_HALF, 2)
+    delivery = dict(base.delivery)
+    del delivery[(0, 1, 1)]
+    partial = LinearScheme(base.model, base.N, base.K, base.s, base.L, base.field,
+                           base.placement, delivery)
+    with pytest.raises(ConfigurationError, match=r"demand \(0, 1, 1\)"):
+        symmetrize(partial)
 
 
 def test_symmetrize_budget_guard():
     base = cached_2rr1s(CornerPointId.HALF_RATE, 8)
-    with pytest.raises(ResourceBudgetError):
+    assert math.factorial(base.N) * math.factorial(base.K) * base.L > DEFAULT_SYMMETRIZE_BUDGET
+    with pytest.raises(ResourceBudgetError, match=str(DEFAULT_SYMMETRIZE_BUDGET)):
         symmetrize(base)
-    with pytest.raises(ResourceBudgetError):
-        symmetrize(cached_2rr1s(CornerPointId.MDS_HALF, 2), budget=10)
 
 
 @pytest.mark.parametrize("alpha", [0.4, Fraction(1, 10 ** 9)], ids=["float 0.4", "1/10^9"])
