@@ -175,6 +175,8 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
 
     delivery_doc = _require(doc, "delivery", dict)
     delivery: dict[Demand, dict[int, SenderSignal]] = {}
+    # one signal per distinct (sender width, rows); repr tells 1 from True and 1.0
+    signals: dict[tuple[int, str], SenderSignal] = {}
     for key, per_doc in delivery_doc.items():
         d = _parse_demand(key, K)
         if not isinstance(per_doc, dict):
@@ -194,7 +196,12 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
                 raise InterchangeError(f"sender {sender} outside 1..{K}",
                                        field=f"delivery[{key}]")
             width = placement[sender - 1].nrows
-            per[sender] = SenderSignal(_matrix(spec, rows, width, f"delivery[{key}][{sender}]"))
+            shared = (width, repr(rows))
+            sig = signals.get(shared)
+            if sig is None:
+                sig = signals[shared] = SenderSignal(
+                    _matrix(spec, rows, width, f"delivery[{key}][{sender}]"))
+            per[sender] = sig
         delivery[d] = per
 
     try:

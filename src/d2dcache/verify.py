@@ -23,6 +23,15 @@ pattern form one orbit, whose first demand is the pattern itself.
   demand, and every demand of a scheme that fails the invariance test,
   gets the full check.
 
+  Within one call, each distinct (sender, encoding) is multiplied out once
+  and kept as one packed int, its rows at a stride of N*L*m bits, and a
+  demand's rows are its senders' packed ints concatenated.  The reuse test
+  first moves the representative's packed rows by pi (one masked shift per
+  file block, for all rows at once) and compares them with d's: equal ints
+  of equal row count are equal rows in order, hence as a multiset.  Only
+  when they differ are both row lists sorted and compared.  So verdicts are
+  reused on exactly the demands the multiset rule allows.
+
 Either way the cache spans, the transmitted span and the requested unit
 selectors all move under the same pi, so each requester decodes iff it
 did for the representative.
@@ -33,7 +42,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional
 
 from .field import FieldMatrix, RowSpan
 from .model import (
@@ -45,7 +55,6 @@ from .model import (
     file_relabelling,
     file_symmetric,
     idle_counts,
-    move_files,
     requesters_of,
     unit_image,
 )
@@ -53,9 +62,11 @@ from .model import (
 
 @dataclass(frozen=True)
 class DemandReport:
+    """One demand's rate and verdict; sender_rows is read-only and shared by equal counts."""
+
     demand: Demand
     rate: Optional[Fraction]
-    sender_rows: dict[int, int]
+    sender_rows: Mapping[int, int]
     decodable: Optional[bool]
     failed_users: tuple[int, ...] = ()
 
@@ -89,12 +100,6 @@ class VerificationReport:
             and bool(self.placement_full_rank)
             and bool(self.joint_recovery)
         )
-
-    def rate_of(self, demand: Demand) -> Fraction:
-        for entry in self.demands:
-            if entry.demand == demand:
-                return entry.rate
-        raise KeyError(demand)
 
     def rate_table(self) -> dict[Demand, Fraction]:
         return {e.demand: e.rate for e in self.demands}
@@ -213,6 +218,39 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
     )
 
 
+class _Accounts:
+    """Report parts shared between demands.
+
+    One read-only sender_rows mapping per distinct count vector and one rate
+    per distinct row total, so equal entries hold the same objects.
+    """
+
+    def __init__(self, L: int):
+        self.L = L
+        self.rates: dict[int, Fraction] = {}
+        self._shared: dict[tuple, tuple[Fraction, Mapping[int, int]]] = {}
+
+    def __call__(self, counts: dict[int, int]) -> tuple[Fraction, Mapping[int, int]]:
+        """(rate, sender_rows) of a demand with these row counts per sender.
+
+        A new count vector's mapping wraps counts, so the caller must not change it.
+        """
+        key = tuple(counts.items())
+        shared = self._shared.get(key)
+        if shared is None:
+            total = sum(counts.values())
+            rate = self.rates.setdefault(total, Fraction(total, self.L))
+            shared = self._shared[key] = (rate, MappingProxyType(counts))
+        return shared
+
+    @property
+    def worst(self) -> Fraction:
+        return max(self.rates.values(), default=Fraction(0))
+
+
+_NO_ROWS: Mapping[int, int] = MappingProxyType({})
+
+
 def _pattern_entries(scheme: OrbitScheme, demands: list[Demand],
                      user_spans: Optional[dict[int, RowSpan]],
                      ) -> tuple[list[DemandReport], Fraction]:
@@ -220,22 +258,21 @@ def _pattern_entries(scheme: OrbitScheme, demands: list[Demand],
 
     Only patterns are multiplied out and decided, each once.
     """
+    account = _Accounts(scheme.L)
     by_pattern: dict[Demand, tuple] = {}
     entries = []
     for d in demands:
         pattern = canonical_file_pattern(d)
         known = by_pattern.get(pattern)
         if known is None:
-            sender_rows = scheme.delivery_row_counts(pattern)
-            rate = Fraction(sum(sender_rows.values()), scheme.L)
             verdict = (None, ())
             if user_spans is not None:
                 verdict = _decide(scheme, user_spans, pattern,
                                   scheme.transmitted_rows(pattern).values())
-            known = by_pattern[pattern] = (sender_rows, rate, verdict)
-        sender_rows, rate, (decodable, failed) = known
-        entries.append(DemandReport(d, rate, dict(sender_rows), decodable, failed))
-    return entries, max((rate for _, rate, _ in by_pattern.values()), default=Fraction(0))
+            known = by_pattern[pattern] = (*account(scheme.delivery_row_counts(pattern)),
+                                           *verdict)
+        entries.append(DemandReport(d, *known))
+    return entries, account.worst
 
 
 def _demand_entries(scheme, demands: list[Demand], covered: set[Demand],
@@ -243,36 +280,69 @@ def _demand_entries(scheme, demands: list[Demand], covered: set[Demand],
                     symmetric: bool) -> tuple[list[DemandReport], Fraction]:
     """Each demand's report from its own delivery, and the worst rate.
 
+    Accounting alone reads only the row counts.  A full check multiplies out
+    each distinct (sender, encoding) once, into packed rows (`_packed_rows`).
     With a file-symmetric placement, a demand reuses its pattern's verdict
     when its rows are exactly the pattern's rows relabelled.
     """
-    orbits: Optional[dict[Demand, tuple]] = {} if symmetric else None
+    account = _Accounts(scheme.L)
+    if user_spans is None:
+        return [DemandReport(d, *account(scheme.delivery_row_counts(d)), None)
+                if d in covered else DemandReport(d, None, _NO_ROWS, None)
+                for d in demands], account.worst
+    N, cols = scheme.N, scheme.symbol_count
     block = scheme.L * scheme.field.m  # bits of one file in a binary image
+    stride = N * block  # bits of one row
+    products: dict[tuple, tuple[int, int]] = {}
+    orbits: Optional[dict[Demand, tuple]] = {} if symmetric else None
     entries = []
-    worst = Fraction(0)
     for d in demands:
         if d not in covered:
-            entries.append(DemandReport(d, None, {}, False if user_spans is not None else None))
+            entries.append(DemandReport(d, None, _NO_ROWS, False))
             continue
-        sender_rows = scheme.delivery_row_counts(d)
-        rate = Fraction(sum(sender_rows.values()), scheme.L)
-        worst = max(worst, rate)
-        decodable: Optional[bool] = None
-        failed: tuple[int, ...] = ()
-        if user_spans is not None:
-            sent = scheme.transmitted_rows(d).values()
-            verdict = None
+        packed, count, counts = 0, 0, {}
+        for k, sig in scheme.signals(d).items():
+            raw = sig.raw_rows
+            key = (k, sig.matrix.images, () if raw is None else raw.images)
+            product = products.get(key)
+            if product is None:
+                product = products[key] = _packed_rows(scheme, k, sig, stride)
+            packed |= product[0] << count * stride
+            count += product[1]
+            counts[k] = product[1]
+        verdict = None
+        if orbits is not None:
+            pattern = canonical_file_pattern(d)
+            seen = orbits.get(pattern)
+            if seen is not None:
+                verdict = _reused_verdict(seen, d, packed, count, N, block)
+        if verdict is None:
+            sent = FieldMatrix(scheme.field, count, cols, tuple(_unpacked(packed, count, stride)))
+            verdict = _decide(scheme, user_spans, d, [sent])
             if orbits is not None:
-                images = sorted(image for mat in sent for image in mat.images)
-                pattern = canonical_file_pattern(d)
-                verdict = _reused_verdict(orbits.get(pattern), d, images, scheme.N, block)
-            if verdict is None:
-                verdict = _decide(scheme, user_spans, d, sent)
-                if orbits is not None:
-                    orbits.setdefault(pattern, (d, images, verdict))
-            decodable, failed = verdict
-        entries.append(DemandReport(d, rate, sender_rows, decodable, failed))
-    return entries, worst
+                orbits.setdefault(pattern, (d, packed, count, verdict))
+        entries.append(DemandReport(d, *account(counts), *verdict))
+    return entries, account.worst
+
+
+def _packed_rows(scheme, k: int, sig, stride: int) -> tuple[int, int]:
+    """(packed rows, row count) that sender k puts on the air for signal sig.
+
+    Row i of the product, then of the raw rows, takes bits [i*stride, (i+1)*stride).
+    """
+    images = sig.matrix.matmul(scheme.placement[k - 1]).images
+    if sig.raw_rows is not None:
+        images += sig.raw_rows.images
+    packed = 0
+    for i, image in enumerate(images):
+        packed |= image << i * stride
+    return packed, len(images)
+
+
+def _unpacked(packed: int, count: int, stride: int) -> list[int]:
+    """The count row images held in packed rows."""
+    row = (1 << stride) - 1
+    return [packed >> i * stride & row for i in range(count)]
 
 
 def _decide(scheme, user_spans: dict[int, RowSpan], d: Demand,
@@ -290,18 +360,29 @@ def _decide(scheme, user_spans: dict[int, RowSpan], d: Demand,
     return not failed, tuple(failed)
 
 
-def _reused_verdict(seen: Optional[tuple], d: Demand, images: list[int], N: int,
+def _reused_verdict(seen: tuple, d: Demand, packed: int, count: int, N: int,
                     block: int) -> Optional[tuple[bool, tuple[int, ...]]]:
     """The orbit representative's verdict, if d's rows are exactly its rows relabelled.
 
-    None when the orbit has no representative yet or the sorted row images
-    differ.
+    None when the row multisets differ.  The representative's packed rows are
+    moved by pi block by block; only when that differs from d's packed rows,
+    as a row order may, are both row lists sorted and compared.
     """
-    if seen is None:
+    rep, rep_packed, rep_count, verdict = seen
+    if count != rep_count:
         return None
-    rep, rep_images, verdict = seen
-    perm = file_relabelling(rep, d, N)
-    return verdict if images == sorted(move_files(i, perm, block) for i in rep_images) else None
+    stride = N * block
+    # file 0's block in every row
+    lanes = ((1 << count * stride) - 1) // ((1 << stride) - 1) * ((1 << block) - 1)
+    moved = 0
+    for n, p in enumerate(file_relabelling(rep, d, N)):
+        part = rep_packed & lanes << n * block
+        moved |= part << (p - n) * block if p >= n else part >> (n - p) * block
+    if moved == packed:
+        return verdict
+    if sorted(_unpacked(moved, count, stride)) == sorted(_unpacked(packed, count, stride)):
+        return verdict
+    return None
 
 
 def _file_decodable(span: RowSpan, N: int, L: int, file_id: int) -> bool:

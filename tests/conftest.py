@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -14,12 +15,18 @@ from d2dcache.model import (
     LinearScheme,
     ModelKind,
     SenderSignal,
+    canonical_file_pattern,
     enumerate_demands,
+    file_relabelling,
+    move_files,
     senders_of,
     symbol_col,
     unit_image,
 )
-from d2dcache.verify import _file_decodable
+from d2dcache.verify import DemandReport, _file_decodable
+
+# `d2dcache.verify` is rebound to the function by the package, so fetch the module.
+verify_mod = importlib.import_module("d2dcache.verify")
 
 TWO_RR_POINTS = (
     CornerPointId.FULL,
@@ -167,3 +174,44 @@ def explicit_kuser_mds(N, K, s):
         signal = SenderSignal(FieldMatrix(spec, len(units), N, units))
         delivery[d] = {k: signal for k in senders_of(d)}
     return LinearScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, spec, placement, delivery)
+
+
+def multiset_rule_entries(scheme, demands, covered, user_spans, symmetric):
+    """`verify._demand_entries` as one product, sort and move per row: an oracle.
+
+    Every demand is multiplied out on its own.  With a file-symmetric
+    placement, a demand takes the first decided demand of its pattern's
+    verdict when its sorted transmitted images equal that demand's images,
+    each moved by the relabelling, sorted; otherwise it is decided through
+    `verify._decide`, looked up at call time so a spy sees it.
+    """
+    orbits = {} if symmetric else None
+    block = scheme.L * scheme.field.m
+    entries = []
+    worst = Fraction(0)
+    for d in demands:
+        if d not in covered:
+            entries.append(DemandReport(d, None, {}, False if user_spans is not None else None))
+            continue
+        sender_rows = scheme.delivery_row_counts(d)
+        rate = Fraction(sum(sender_rows.values()), scheme.L)
+        worst = max(worst, rate)
+        verdict = (None, ())
+        if user_spans is not None:
+            sent = scheme.transmitted_rows(d).values()
+            verdict = None
+            if orbits is not None:
+                images = sorted(image for mat in sent for image in mat.images)
+                pattern = canonical_file_pattern(d)
+                seen = orbits.get(pattern)
+                if seen is not None:
+                    rep, rep_images, rep_verdict = seen
+                    perm = file_relabelling(rep, d, scheme.N)
+                    if images == sorted(move_files(i, perm, block) for i in rep_images):
+                        verdict = rep_verdict
+            if verdict is None:
+                verdict = verify_mod._decide(scheme, user_spans, d, sent)
+                if orbits is not None:
+                    orbits.setdefault(pattern, (d, images, verdict))
+        entries.append(DemandReport(d, rate, sender_rows, *verdict))
+    return entries, worst

@@ -175,6 +175,33 @@ def test_loader_rejects_rank_deficient_placement():
     assert "linearly dependent" in str(err.value)
 
 
+def test_loader_hands_out_one_signal_per_distinct_encoding():
+    doc = scheme_to_dict(cached_kuser(CornerPointId.KU_MAN, 4, 5, 2))
+    scheme = load_scheme_text(json.dumps(doc))
+    signals = [sig for per in scheme.delivery.values() for sig in per.values()]
+    distinct = {(sig.matrix.ncols, sig.matrix.images) for sig in signals}
+    assert len({id(sig) for sig in signals}) == len(distinct) < len(signals)
+
+
+@pytest.mark.parametrize("entry", [True, 1.0])
+def test_loader_rejects_a_repeat_of_a_valid_matrix_that_only_compares_equal(entry):
+    # [[True]] == [[1.0]] == [[1]]: a repeat must not pass as the checked matrix
+    doc = scheme_to_dict(cached_kuser(CornerPointId.KU_MAN, 3, 4, 1))
+    seen = set()
+    for per in doc["delivery"].values():
+        for sender, rows in per.items():
+            shared = (len(doc["placement"][int(sender) - 1]), json.dumps(rows))
+            if shared in seen and any(1 in row for row in rows):
+                per[sender] = [[entry if v == 1 else v for v in row] for row in rows]
+                assert per[sender] == rows
+                with pytest.raises(InterchangeError) as err:
+                    load_scheme_text(json.dumps(doc))
+                assert "outside GF(2^1)" in str(err.value)
+                return
+            seen.add(shared)
+    pytest.fail("no repeated delivery matrix")
+
+
 def test_random_schemes_round_trip(tmp_path):
     import random
     from d2dcache.field import GF2, FieldMatrix, FieldSpec, mat_rank

@@ -403,10 +403,11 @@ def test_half_mix_verifies_and_hits_expected_point():
 def test_share_rate_law_exact_per_demand(alpha):
     a = cached_2rr1s(CornerPointId.MDS_HALF, 2)
     b = cached_2rr1s(CornerPointId.HALF_RATE, 2)
-    mix = verify(memory_share(a, b, alpha), check_decodability=False)
-    ra, rb = verify(a, check_decodability=False), verify(b, check_decodability=False)
+    mix = verify(memory_share(a, b, alpha), check_decodability=False).rate_table()
+    ra = verify(a, check_decodability=False).rate_table()
+    rb = verify(b, check_decodability=False).rate_table()
     for d in enumerate_demands(ModelKind.TWO_RR_ONE_S, 2, 3, 1):
-        assert mix.rate_of(d) == alpha * ra.rate_of(d) + (1 - alpha) * rb.rate_of(d)
+        assert mix[d] == alpha * ra[d] + (1 - alpha) * rb[d]
 
 
 def test_share_rejects_mismatched_inputs():
