@@ -2,10 +2,14 @@
 
 - rotate_2rr1s: turn a two-requester/one-sender scheme into a scheme for
   the traditional model by halving every subfile and letting each user
-  run the base rule for the demand in which it is the sender.
+  run the base rule for the demand in which it is the sender.  An
+  OrbitScheme base rotates to an OrbitScheme, raw rows and all.
 - adapt_request_random: reuse a two-requester base when 0..3 users
   request, with a fake requester and signal pruning when only one user
   requests.
+
+Both read the base one demand at a time, through `base.signals(d)`, so an
+OrbitScheme base never expands its delivery.
 """
 
 from __future__ import annotations
@@ -86,9 +90,8 @@ def rotate_2rr1s(base: Scheme) -> Scheme:
     transmissions and flag the report instead of silently vanishing.
 
     An OrbitScheme base rotates to an OrbitScheme: every step above moves
-    with a file relabelling, so only the traditional-model file patterns
-    are built.  When one of them needs raw rows, which the orbit form
-    cannot hold, every demand is built and the result is explicit.
+    with a file relabelling, raw rows included, so only the
+    traditional-model file patterns are built.
     """
     _require_clean_base(base)
     return _rotated(base)
@@ -109,14 +112,10 @@ def _rotated(base: Scheme) -> Scheme:
                 for k in (1, 2, 3)}
 
     form = (ModelKind.TRADITIONAL_D2D, N, 3, 0)
-    patterns = {}
-    if isinstance(base, OrbitScheme):
-        patterns = {d: signals(d) for d in enumerate_patterns(*form)}
-        if all(sig.clean for per in patterns.values() for sig in per.values()):
-            return OrbitScheme(*form, L2, spec, placement, patterns)
-    delivery = {d: patterns[d] if d in patterns else signals(d)
-                for d in enumerate_demands(*form)}
-    return LinearScheme(*form, L2, spec, placement, delivery)
+    orbit = isinstance(base, OrbitScheme)
+    demands = (enumerate_patterns if orbit else enumerate_demands)(*form)
+    return (OrbitScheme if orbit else LinearScheme)(
+        *form, L2, spec, placement, {d: signals(d) for d in demands})
 
 
 def _rotated_signal(base: Scheme, new_P: FieldMatrix, d: Demand, sender: int,
@@ -311,7 +310,7 @@ def adapt_request_random(base: Scheme) -> RequestRandomAdaptation:
             fake_demand = tuple(fd)
             pruned = prune_signal(base, fake_demand, (real,))
             kept = pruned.kept_rows_of(sender)
-            sig = base.delivery[fake_demand][sender]
+            sig = base.signals(fake_demand)[sender]
             images = sig.matrix.images
             kept_rows = FieldMatrix(spec, len(kept), sig.matrix.ncols, tuple(images[i] for i in kept))
             mat = _interleaved(kept_rows, _coeff_maps(sig.matrix.ncols),
@@ -324,7 +323,7 @@ def adapt_request_random(base: Scheme) -> RequestRandomAdaptation:
             worst[1] = max(worst[1], Fraction(pruned.row_count, L))
         elif r == 2:
             (sender,) = senders_of(d)
-            sig = base.delivery[d][sender]
+            sig = base.signals(d)[sender]
             mat = _interleaved(sig.matrix, _coeff_maps(sig.matrix.ncols),
                                placement[sender - 1].nrows)
             delivery[d] = {sender: SenderSignal(mat)}

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
+from .catalog import CornerPointId as C, corner_value
 from .curves import RatePoint, TradeoffCurve, envelope, parse_fraction
 from .errors import ConfigurationError, FeasibilityError, InterchangeError
 
@@ -88,7 +89,11 @@ REGIMES = (
 
 def paper_corner_points(regime: str, N: Optional[int] = None,
                         K: Optional[int] = None, s: Optional[int] = None) -> list[RatePoint]:
-    """The exact printed corner lists for a regime."""
+    """The exact printed corner lists for a regime.
+
+    The 2rr1s, rr_ours_r2 and kuser lists are builders' corners
+    (`catalog.corner_value`); the rest are cited and stay literal.
+    """
     if regime not in REGIMES:
         raise ConfigurationError(f"unknown regime {regime!r}; expected one of {REGIMES}")
 
@@ -103,21 +108,14 @@ def paper_corner_points(regime: str, N: Optional[int] = None,
     if regime == "kuser":
         if K is None or s is None or not 1 <= s <= K - 2:
             raise ConfigurationError("regime kuser needs K and 1 <= s <= K-2")
-        return pts([
-            (Fraction(N, s + 1), Fraction(s * min(N, K - s), s + 1)),
-            (Fraction((K - 1) * N, K), Fraction(1, K)),
-            (N, 0),
-        ], "kuser")
+        return pts([corner_value(point, N, K, s) for point in (C.KU_MDS, C.KU_MAN, C.KU_FULL)],
+                   "kuser")
     if regime in ("2rr1s", "rr_ours_r2"):
-        if N == 2:
-            pairs = [(1, Fraction(7, 8)), (Fraction(7, 6), Fraction(1, 2)),
-                     (Fraction(4, 3), Fraction(1, 3)), (2, 0)]
-        elif N == 3:
-            pairs = [(Fraction(3, 2), 1), (Fraction(11, 6), Fraction(1, 2)),
-                     (2, Fraction(1, 3)), (3, 0)]
-        else:
-            pairs = [(Fraction(N, 2), 1), (Fraction(2 * N, 3), Fraction(1, 3)), (N, 0)]
-        return pts(pairs, regime)
+        first = [C.N2_SEVEN_EIGHTHS, C.HALF_RATE] if N == 2 else [C.MDS_HALF]
+        if N == 3:
+            first.append(C.HALF_RATE)
+        return pts([corner_value(point, N) for point in (*first, C.MAN_TWO_THIRDS, C.FULL)],
+                   regime)
     if regime == "rr_ours_r1":
         if N == 2:
             pairs = [(1, Fraction(5, 8)), (Fraction(7, 6), Fraction(1, 2)),

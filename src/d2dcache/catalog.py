@@ -60,25 +60,26 @@ class CornerPointId(str, Enum):
     KU_FULL = "ku-full"
 
 
+# (memory, worst-case rate) of each corner, from N, K and s
+_CORNERS = {
+    CornerPointId.FULL: lambda N, K, s: (N, 0),
+    CornerPointId.MDS_HALF: lambda N, K, s: (Fraction(N, 2), 1),
+    CornerPointId.MAN_TWO_THIRDS: lambda N, K, s: (Fraction(2 * N, 3), Fraction(1, 3)),
+    CornerPointId.HALF_RATE: lambda N, K, s: (Fraction(4 * N - 1, 6), Fraction(1, 2)),
+    CornerPointId.N2_SEVEN_EIGHTHS: lambda N, K, s: (1, Fraction(7, 8)),
+    CornerPointId.TRAD_CODED_ONE_ONE: lambda N, K, s: (1, 1),
+    CornerPointId.KU_MDS: lambda N, K, s: (Fraction(N, s + 1), Fraction(s * min(N, K - s), s + 1)),
+    CornerPointId.KU_MAN: lambda N, K, s: (Fraction((K - 1) * N, K), Fraction(1, K)),
+    CornerPointId.KU_FULL: lambda N, K, s: (N, 0),
+}
+
+
 def corner_value(point: CornerPointId, N: int, K: int = 3, s: int = 1) -> tuple[Fraction, Fraction]:
     """The (memory, worst-case rate) pair a builder is expected to hit."""
-    if point is CornerPointId.FULL or point is CornerPointId.KU_FULL:
-        return Fraction(N), Fraction(0)
-    if point is CornerPointId.MDS_HALF:
-        return Fraction(N, 2), Fraction(1)
-    if point is CornerPointId.MAN_TWO_THIRDS:
-        return Fraction(2 * N, 3), Fraction(1, 3)
-    if point is CornerPointId.HALF_RATE:
-        return Fraction(4 * N - 1, 6), Fraction(1, 2)
-    if point is CornerPointId.N2_SEVEN_EIGHTHS:
-        return Fraction(1), Fraction(7, 8)
-    if point is CornerPointId.TRAD_CODED_ONE_ONE:
-        return Fraction(1), Fraction(1)
-    if point is CornerPointId.KU_MDS:
-        return Fraction(N, s + 1), Fraction(s * min(N, K - s), s + 1)
-    if point is CornerPointId.KU_MAN:
-        return Fraction((K - 1) * N, K), Fraction(1, K)
-    raise ConfigurationError(f"unknown corner point {point}")
+    if not isinstance(point, CornerPointId):
+        raise ConfigurationError(f"unknown corner point {point}")
+    memory, rate = _CORNERS[point](N, K, s)
+    return Fraction(memory), Fraction(rate)
 
 
 def _idle_signals(placement: Sequence[FieldMatrix]) -> tuple[SenderSignal, ...]:

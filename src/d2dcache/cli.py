@@ -154,29 +154,22 @@ def cmd_export(args) -> int:
     return EXIT_OK
 
 
-def _sweep_domain(model: str, N: int) -> tuple[Fraction, Fraction]:
-    if model == "2rr1s":
-        return Fraction(N, 2), Fraction(N)
-    return Fraction(2, 3), Fraction(2)
-
-
 def cmd_sweep(args) -> int:
     model, N = args.model, args.N
     if model == "trad" and N != 2:
         raise UsageError("the traditional-model sweep is characterized only for --N 2")
-    lo_default, hi_default = _sweep_domain(model, N)
-    lo = parse_fraction(args.m_min) if args.m_min else lo_default
-    hi = parse_fraction(args.m_max) if args.m_max else hi_default
-    if lo < lo_default or hi > hi_default:
-        raise UsageError(
-            f"M range [{lo}, {hi}] outside the feasible range [{lo_default}, {hi_default}]"
-        )
     if model == "2rr1s":
         curve = envelope(paper_corner_points("2rr1s", N))
         converse = lambda M: converse_2rr1s(N, M)
     else:
         curve = envelope(paper_corner_points("trad_n2"))
         converse = converse_traditional_n2
+    lo = parse_fraction(args.m_min) if args.m_min else curve.min_M
+    hi = parse_fraction(args.m_max) if args.m_max else curve.max_M
+    if lo < curve.min_M or hi > curve.max_M:
+        raise UsageError(
+            f"M range [{lo}, {hi}] outside the feasible range [{curve.min_M}, {curve.max_M}]"
+        )
 
     baselines = _parse_baselines(args.baseline)
     loaded = {name: load_external_curve(path, N) for name, path in baselines.items()}

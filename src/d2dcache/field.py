@@ -85,36 +85,6 @@ def default_modulus(m: int) -> int:
     raise ConfigurationError(f"no irreducible polynomial of degree {m}")
 
 
-@functools.lru_cache(maxsize=None)
-def _tables(m: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(exp, log, generator) tables for the multiplicative group."""
-    modulus = default_modulus(m)
-    order = (1 << m) - 1
-    generator = None
-    for g in range(2, 1 << m):
-        x, seen = 1, 0
-        for _ in range(order):
-            x = poly_mulmod(x, g, modulus)
-            seen += 1
-            if x == 1:
-                break
-        if seen == order:
-            generator = g
-            break
-    if generator is None:  # m == 1: trivial group
-        generator = 1
-    exp = [0] * (2 * order if order else 1)
-    log = [0] * (1 << m)
-    x = 1
-    for i in range(order):
-        exp[i] = x
-        log[x] = i
-        x = poly_mulmod(x, generator, modulus)
-    for i in range(order, 2 * order):
-        exp[i] = exp[i - order]
-    return tuple(exp), tuple(log), generator
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """GF(2^m) modulo `default_modulus(m)`; m=1 is plain GF(2)."""
@@ -140,29 +110,31 @@ class FieldSpec:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return a & b
-        if a == 0 or b == 0:
-            return 0
-        exp, log, _ = _tables(self.m)
-        return exp[log[a] + log[b]]
+        return poly_mulmod(a, b, self.modulus)
 
     def inv(self, a: int) -> int:
+        """a^(2^m - 2), since a^(2^m - 1) = 1 for every nonzero a."""
         if a == 0:
             raise FieldDomainError("0 has no multiplicative inverse")
-        if self.m == 1:
-            return 1
-        exp, log, _ = _tables(self.m)
-        return exp[(self.size - 1) - log[a]]
+        return self.pow(a, self.size - 2)
 
     def pow(self, a: int, e: int) -> int:
+        """a^e by square-and-multiply; a^0 = 1."""
         out = 1
-        for _ in range(e):
-            out = self.mul(out, a)
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
         return out
 
     def generator(self) -> int:
-        return _tables(self.m)[2]
+        """The smallest element of full multiplicative order 2^m - 1."""
+        order = self.size - 1
+        # g falls short of full order iff g^(order/q) = 1 for some divisor q > 1 of the order
+        divisors = [q for q in range(2, order + 1) if order % q == 0]
+        return next(g for g in range(1, self.size)
+                    if all(self.pow(g, order // q) != 1 for q in divisors))
 
 
 GF2 = FieldSpec(1)

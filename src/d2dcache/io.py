@@ -146,12 +146,12 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
     if s is not None and (not isinstance(s, int) or isinstance(s, bool)):
         raise InterchangeError(f"expected an integer or null, got {s!r}", field="s")
     L = _require(doc, "L", int)
-    for name, value in (("K", K), ("L", L)):
+    for name, value in (("N", N), ("K", K), ("L", L)):
         if value < 1:
             raise InterchangeError(f"{name} must be positive, got {value}", field=name)
     field_m = _require(doc, "field_m", int)
     if not 1 <= field_m <= _EXHAUSTIVE_CHECK_LIMIT:
-        # larger degrees make finding a modulus and the field tables exponential
+        # larger degrees make the modulus search by trial division exponential
         raise InterchangeError(f"field_m must lie in 1..{_EXHAUSTIVE_CHECK_LIMIT}, got {field_m}",
                                field="field_m")
     try:

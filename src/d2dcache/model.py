@@ -31,9 +31,13 @@ demand in enumeration order.  Two scheme forms share one accessor surface:
   the pattern's transmitted rows moved by pi (`file_relabelling`,
   `move_files`).  A pattern's rows must be fixed by every permutation of
   the files it does not request, so that definition does not depend on
-  which pi is chosen.  `signals(d)` expresses them over each sender's
-  cache; `delivery` does so for every demand at once, the first time it
-  is read, and shares one signal between equal encodings.
+  which pi is chosen.  `signals(d)` expresses the moved products over each
+  sender's cache and keeps the moved raw rows raw; `delivery` does so for
+  every demand at once, the first time it is read, and shares one signal
+  between equal encodings.
+
+What a sender puts on the air is always `SenderSignal.sent`: its encoding
+rows times its cache, then its raw rows.
 
 Every demand is listed and reported, so the demand count is capped at
 `DEMAND_BUDGET` before anything is enumerated.
@@ -261,6 +265,14 @@ class SenderSignal:
     def clean(self) -> bool:
         return self.raw_rows is None or self.raw_rows.nrows == 0
 
+    @property
+    def raw_images(self) -> tuple[int, ...]:
+        return () if self.raw_rows is None else self.raw_rows.images
+
+    def sent(self, P: FieldMatrix) -> tuple[int, ...]:
+        """The images a sender with cache P puts on the air: its products, then its raw rows."""
+        return self.matrix.matmul(P).images + self.raw_images
+
 
 def symbol_col(N: int, L: int, n: int, l: int) -> int:
     """Flattened symbol index of subfile l of file n (both 1-based)."""
@@ -368,12 +380,11 @@ class LinearScheme(_Placement):
 
     def transmitted_rows(self, d: Demand) -> dict[int, FieldMatrix]:
         """Symbol-space rows each sender puts on the air for demand d."""
+        cols = self.symbol_count
         out = {}
         for k, sig in self.delivery[d].items():
-            rows = sig.matrix.matmul(self.placement[k - 1])
-            if sig.raw_rows is not None:
-                rows = rows.stack(sig.raw_rows)
-            out[k] = rows
+            images = sig.sent(self.placement[k - 1])
+            out[k] = FieldMatrix(self.field, len(images), cols, images)
         return out
 
     def delivery_demands(self) -> Iterable[Demand]:
@@ -390,14 +401,15 @@ class OrbitScheme(_Placement):
 
     ``patterns`` maps each canonical file pattern of the model's demands
     to its senders' signals; the pattern is its own orbit's representative.
-    The delivery of d = pi(pattern) is the pattern's transmitted rows moved
-    by pi.  The constructor checks that the placement is file-symmetric, so
-    those rows lie in each sender's cache span, and that no pattern holds
-    raw rows.  It also checks the stabilizer contract: every permutation of
-    the files a pattern does not request fixes each of its transmitted
-    images.  So every pi with d = pi(pattern) moves the pattern's rows onto
-    the same rows, and delivery(pi(d)) = pi(delivery(d)) for every file
-    permutation pi and demand d, not only for `file_relabelling`'s choice.
+    The delivery of d = pi(pattern) is the pattern's transmitted rows, raw
+    rows included, moved by pi.  The constructor checks that the placement
+    is file-symmetric, so each cache span is fixed by pi: moved products lie
+    in the sender's span, and moved raw rows are kept as raw rows.  It also
+    checks the stabilizer contract: every permutation of the files a
+    pattern does not request fixes each of its transmitted images, raw rows
+    included.  So every pi with d = pi(pattern) moves the pattern's rows onto the same
+    rows, and delivery(pi(d)) = pi(delivery(d)) for every file permutation
+    pi and demand d, not only for `file_relabelling`'s choice.
     """
 
     patterns: dict[Demand, dict[int, SenderSignal]]
@@ -409,8 +421,6 @@ class OrbitScheme(_Placement):
                                      "of the model's demands")
         for d, per_sender in self.patterns.items():
             self._check_signals(d, per_sender)
-            if not all(sig.clean for sig in per_sender.values()):
-                raise ConfigurationError(f"pattern {d} holds raw rows")
         if not file_symmetric(self.placement, [P._echelon for P in self.placement],
                               self.N, self.L):
             raise ConfigurationError("placement is not invariant under file relabelling")
@@ -433,8 +443,7 @@ class OrbitScheme(_Placement):
     @functools.cached_property
     def _pattern_images(self) -> dict[Demand, dict[int, tuple[int, ...]]]:
         """Each pattern's transmitted images per sender."""
-        return {d: {k: sig.matrix.matmul(self.placement[k - 1]).images
-                    for k, sig in per_sender.items()}
+        return {d: {k: sig.sent(self.placement[k - 1]) for k, sig in per_sender.items()}
                 for d, per_sender in self.patterns.items()}
 
     def _moved_images(self, pattern: Demand, d: Demand) -> dict[int, tuple[int, ...]]:
@@ -464,10 +473,13 @@ class OrbitScheme(_Placement):
                  interned: dict) -> dict[int, SenderSignal]:
         """d's signal per sender: its pattern's, or its moved rows expressed.
 
-        A sender with no rows keeps the pattern's signal.  Across calls,
-        `seen`, keyed (sender, moved images), expresses each row set once, and
-        `interned`, keyed (cache rows, coefficient images), hands out one
-        signal per encoding.
+        A sender with no rows keeps the pattern's signal.  The first
+        `matrix.nrows` moved images are the moved products, which stay in the
+        cache span because every file relabelling fixes it, and are expressed
+        over it; the rest are the moved raw rows and stay raw.  Across
+        calls, `seen`, keyed (sender, moved images), expresses each row set
+        once, and `interned`, keyed (cache rows, coefficient images, raw
+        images), hands out one signal per encoding.
         """
         stored = self.patterns[pattern]
         if d == pattern:
@@ -476,8 +488,12 @@ class OrbitScheme(_Placement):
         for k, images in self._moved_images(pattern, d).items():
             sig = seen.get((k, images)) if images else stored[k]
             if sig is None:
-                new = encoded_signal(self.placement[k - 1], images)
-                key = (new.matrix.ncols, new.matrix.images)
+                n = stored[k].matrix.nrows
+                matrix = encoded_signal(self.placement[k - 1], images[:n]).matrix
+                raw = images[n:]
+                new = SenderSignal(matrix, FieldMatrix(self.field, len(raw), self.symbol_count,
+                                                       raw) if raw else None)
+                key = (matrix.ncols, matrix.images, raw)
                 sig = seen[k, images] = interned.setdefault(key, new)
             out[k] = sig
         return out
@@ -488,7 +504,7 @@ class OrbitScheme(_Placement):
 
         Equal encodings share one signal, a pattern's where one has it.
         """
-        interned = {(sig.matrix.ncols, sig.matrix.images): sig
+        interned = {(sig.matrix.ncols, sig.matrix.images, sig.raw_images): sig
                     for per_sender in self.patterns.values() for sig in per_sender.values()}
         seen: dict = {}
         return MappingProxyType({d: self._signals(canonical_file_pattern(d), d, seen, interned)
@@ -499,7 +515,8 @@ class OrbitScheme(_Placement):
 
     @property
     def encoding_clean(self) -> bool:
-        return True  # the constructor refuses raw rows
+        # moved raw rows stay raw, so the patterns decide
+        return all(sig.clean for per in self.patterns.values() for sig in per.values())
 
 
 Scheme = Union[LinearScheme, OrbitScheme]

@@ -2,7 +2,8 @@
 
 Both transformations lay copies of base schemes on disjoint subfile-slot
 blocks of every file.  Memory sharing builds the composite scheme, and a
-composite of OrbitSchemes is built once per file pattern.
+composite of OrbitSchemes, raw rows and all, is built once per file
+pattern.
 Symmetrization over all joint user/file permutations returns a scheme
 whose rate accounting is one pass over the base, summed per joint
 (demand, sender) orbit type, since the explicit matrices grow with N!.K!;
@@ -58,12 +59,14 @@ def concatenate_blocks(parts: Sequence[tuple[Scheme, int]]) -> Scheme:
     DEFAULT_SYMMETRIZE_BUDGET it raises ResourceBudgetError before anything
     is built.  When every block is an
     OrbitScheme, so is the composite: each block keeps its file-symmetric
-    spans and the stabilizer contract on its own slots, so only the file
-    patterns are built, each with the same block-diagonal signal an
-    explicit composite gives that demand.  Otherwise every demand is built.
+    spans and the stabilizer contract on its own slots, raw rows included,
+    so only the file patterns are built, each with the same block-diagonal
+    signal an explicit composite gives that demand.  Otherwise every demand
+    is built.  Either way each block is read through `signals(d)`.
     """
     if any(count < 0 for _, count in parts):
         raise ConfigurationError("block count must be nonnegative")
+    parts = [(scheme, count) for scheme, count in parts if count]
     L_total = sum(scheme.L * count for scheme, count in parts)
     if L_total > DEFAULT_SYMMETRIZE_BUDGET:
         raise ResourceBudgetError(f"the composite needs {L_total} subfile slots per file, "
@@ -97,9 +100,12 @@ def concatenate_blocks(parts: Sequence[tuple[Scheme, int]]) -> Scheme:
     demands = (enumerate_patterns if orbit else enumerate_demands)(first.model, N, K, first.s)
     delivery: dict[Demand, dict[int, SenderSignal]] = {}
     for d in demands:
+        # each scheme's signals once, whatever its count
+        per_part = [sch.signals(d) for sch, _ in parts]
+        signals = [per for per, (_, count) in zip(per_part, parts) for _ in range(count)]
         per_sender: dict[int, SenderSignal] = {}
         for k in senders_of(d):
-            blocks = [(sch.patterns if orbit else sch.delivery)[d][k] for sch in instances]
+            blocks = [per[k] for per in signals]
             widths = [sch.placement_rows(k) for sch in instances]
             total_w = sum(widths)
             images: list[int] = []

@@ -14,17 +14,17 @@ and the N-cycle, which generate S_N, it is invariant under every pi
 pattern form one orbit, whose first demand is the pattern itself.
 
 - An OrbitScheme passed that test when it was built, and the delivery of
-  d = pi(pattern) is the pattern's delivery moved by pi by definition.
-  So only the patterns are multiplied out and decided, and every demand
-  takes its pattern's row counts and verdict.
+  d = pi(pattern), raw rows included, is the pattern's delivery moved by
+  pi by definition.  So only the patterns are multiplied out and decided,
+  and every demand takes its pattern's row counts and verdict.
 - An explicit scheme's pattern gets the full check.  A later demand
   d = pi(rep) reuses that verdict only when its transmitted rows, as a
   multiset, are exactly the pi-images of the representative's.  Any other
   demand, and every demand of a scheme that fails the invariance test,
   gets the full check.
 
-  Within one call, each distinct (sender, encoding) is multiplied out once
-  and kept as one packed int, its rows at a stride of N*L*m bits, and a
+  Within one call, each distinct (sender, encoding, raw rows) is
+  multiplied out once (`SenderSignal.sent`) and kept as one packed int, its rows at a stride of N*L*m bits, and a
   demand's rows are its senders' packed ints concatenated.  The reuse test
   first moves the representative's packed rows by pi (one masked shift per
   file block, for all rows at once) and compares them with d's: equal ints
@@ -302,8 +302,7 @@ def _demand_entries(scheme, demands: list[Demand], covered: set[Demand],
             continue
         packed, count, counts = 0, 0, {}
         for k, sig in scheme.signals(d).items():
-            raw = sig.raw_rows
-            key = (k, sig.matrix.images, () if raw is None else raw.images)
+            key = (k, sig.matrix.images, sig.raw_images)
             product = products.get(key)
             if product is None:
                 product = products[key] = _packed_rows(scheme, k, sig, stride)
@@ -330,9 +329,7 @@ def _packed_rows(scheme, k: int, sig, stride: int) -> tuple[int, int]:
 
     Row i of the product, then of the raw rows, takes bits [i*stride, (i+1)*stride).
     """
-    images = sig.matrix.matmul(scheme.placement[k - 1]).images
-    if sig.raw_rows is not None:
-        images += sig.raw_rows.images
+    images = sig.sent(scheme.placement[k - 1])
     packed = 0
     for i, image in enumerate(images):
         packed |= image << i * stride

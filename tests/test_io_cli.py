@@ -98,6 +98,9 @@ BAD_DOCUMENTS = [
      "field: L"),
     ("K-zero", lambda doc: doc.update(model="traditional", K=0, s=0, placement=[], delivery={}),
      "field: K"),
+    ("N-zero", lambda doc: doc.update(N=0), "field: N"),
+    ("N-negative", lambda doc: doc.update(N=-1, placement=[[], [], []], delivery={}),
+     "field: N"),
 ]
 
 

@@ -212,13 +212,10 @@ def test_constructor_rejects_what_the_orbit_form_cannot_hold():
     scheme = cached_2rr1s(CornerPointId.HALF_RATE, 3)
     args = (scheme.model, scheme.N, scheme.K, scheme.s, scheme.L, scheme.field)
     patterns = scheme.patterns
-    raw = SenderSignal(patterns[(0, 1, 1)][1].matrix,
-                       raw_rows=FieldMatrix(GF2, 1, scheme.symbol_count, (1,)))
     cases = [
         ("canonical file patterns", scheme.placement, _without(patterns, (0, 1, 2))),
         ("canonical file patterns", scheme.placement,
          {**_without(patterns, (0, 1, 2)), (0, 2, 1): patterns[(0, 1, 2)]}),
-        ("raw rows", scheme.placement, {**patterns, (0, 1, 1): {1: raw}}),
         ("senders", scheme.placement, {**patterns, (0, 1, 1): {2: patterns[(1, 0, 1)][2]}}),
         ("not invariant", placement_with_file_one_reversed(scheme), patterns),
     ]
@@ -243,6 +240,51 @@ def test_constructor_rejects_rows_that_move_with_unrequested_files():
     OrbitScheme(*args, scheme.patterns)  # the builder's own rows touch only requested files
 
 
+def test_constructor_rejects_raw_rows_that_move_with_unrequested_files():
+    scheme = cached_2rr1s(CornerPointId.HALF_RATE, 3)
+    N, L = scheme.N, scheme.L
+    args = (scheme.model, N, scheme.K, scheme.s, L, scheme.field, scheme.placement)
+    stored = scheme.patterns[(0, 1, 1)][1]
+
+    def with_raw(image):
+        return {**scheme.patterns, (0, 1, 1): {1: SenderSignal(
+            stored.matrix, FieldMatrix(GF2, 1, scheme.symbol_count, (image,)))}}
+
+    # a raw row of file 1, which (0, 1, 1) requests, is fixed by every swap of files 2 and 3
+    assert not OrbitScheme(*args, with_raw(unit_image(N, L, 1, 1))).encoding_clean
+    with pytest.raises(ConfigurationError, match=r"pattern \(0, 1, 1\) sends rows that move"):
+        OrbitScheme(*args, with_raw(unit_image(N, L, 2, 1)))
+
+
+def test_raw_only_signals_keep_their_own_raw_rows():
+    """Every sender sends mds-half's rows as raw rows, over no encoding row.
+
+    All of one sender's signals then have equal (empty) coefficients, so
+    only their raw rows tell them apart.
+    """
+    base = cached_2rr1s(MDS, 3)
+    patterns = {}
+    for d, per in base.patterns.items():
+        patterns[d] = {}
+        for k, sig in per.items():
+            images = sig.sent(base.placement[k - 1])
+            patterns[d][k] = SenderSignal(
+                FieldMatrix.empty(base.field, base.placement_rows(k)),
+                FieldMatrix(base.field, len(images), base.symbol_count, images))
+    scheme = OrbitScheme(base.model, base.N, base.K, base.s, base.L, base.field,
+                         base.placement, patterns)
+    assert not scheme.encoding_clean
+    assert len({sig.raw_rows.images for per in scheme.delivery.values()
+                for sig in per.values()}) > len(patterns)
+    for d in enumerate_demands(scheme.model, scheme.N, scheme.K, scheme.s):
+        assert scheme.delivery[d] == scheme.signals(d), d
+        assert ({k: m.images for k, m in scheme.transmitted_rows(d).items()}
+                == {k: m.images for k, m in base.transmitted_rows(d).items()}), d
+    report = verify(scheme)
+    assert report.all_decodable and not report.passed
+    assert report.to_json_dict() == verify(_expanded(scheme)).to_json_dict()
+
+
 # ---------------------------------------------------------------------------
 # transforms: memory shares and rotations of OrbitSchemes
 # ---------------------------------------------------------------------------
@@ -261,8 +303,8 @@ def test_which_transforms_stay_orbit_native():
         assert isinstance(_share(HALF, FULL, N, Fraction(1, 2)), OrbitScheme)
         for point in (FULL, MDS, MAN):
             assert isinstance(rotate_2rr1s(cached_2rr1s(point, N)), OrbitScheme)
-        # half-rate's user-2 rows cross files and rotate to raw rows
-        assert isinstance(rotate_2rr1s(cached_2rr1s(HALF, N)), LinearScheme)
+        # half-rate's user-2 rows cross files and rotate to raw rows, which move like the rest
+        assert isinstance(rotate_2rr1s(cached_2rr1s(HALF, N)), OrbitScheme)
         assert isinstance(adapt_request_random(cached_2rr1s(MDS, N)).scheme, LinearScheme)
     assert isinstance(rotate_2rr1s(_share(MDS, MAN, 2)), OrbitScheme)
     n2 = cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2)
@@ -345,3 +387,6 @@ def test_rotation_reads_base_signals_without_expanding_the_base():
     assert isinstance(rotated, OrbitScheme)
     assert "delivery" not in vars(base)
     _assert_same_scheme(rotated, rotate_2rr1s(cached_2rr1s(MDS, 4)))
+    adapted = adapt_request_random(base).scheme
+    assert "delivery" not in vars(base)
+    _assert_same_scheme(adapted, adapt_request_random(_expanded(base)).scheme)

@@ -109,7 +109,7 @@ CASES = {
     "permute_scheme(kuser/man)": lambda: (
         permute_scheme(cached_kuser(MAN, 3, 4, 1), (2, 4, 1, 3), (3, 1, 2)), None),
     "rotate_2rr1s(half-rate), raw rows": lambda: (
-        rotate_2rr1s(cached_2rr1s(CornerPointId.HALF_RATE, 3)), None),
+        _explicit(rotate_2rr1s(cached_2rr1s(CornerPointId.HALF_RATE, 3))), None),
     "rotate_2rr1s(man-2-3), expanded": lambda: (
         _explicit(rotate_2rr1s(cached_2rr1s(CornerPointId.MAN_TWO_THIRDS, 3))), None),
     "kuser/mds, one demand's rows reversed": lambda: _rows_changed(
