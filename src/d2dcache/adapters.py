@@ -8,8 +8,8 @@
   request, with a fake requester and signal pruning when only one user
   requests.
 
-Both read the base one demand at a time, through `base.signals(d)`, so an
-OrbitScheme base never expands its delivery.
+Each is one `signals(d)` rule for `model.derived_scheme`, and reads its
+inputs one demand at a time, so no OrbitScheme's delivery is expanded.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from .errors import ConfigurationError
 from .field import FieldMatrix, RowSpan
 from .model import (
     Demand,
-    LinearScheme,
     ModelKind,
-    OrbitScheme,
     Scheme,
     SenderSignal,
+    derived_scheme,
     enumerate_demands,
-    enumerate_patterns,
     requesters_of,
     senders_of,
     symbol_col,
@@ -89,9 +87,9 @@ def rotate_2rr1s(base: Scheme) -> Scheme:
     cannot be recomposed from the sender's cache are kept as raw
     transmissions and flag the report instead of silently vanishing.
 
-    An OrbitScheme base rotates to an OrbitScheme: every step above moves
-    with a file relabelling, raw rows included, so only the
-    traditional-model file patterns are built.
+    An OrbitScheme base rotates to an OrbitScheme (`derived_scheme`): every
+    step above moves with a file relabelling, raw rows included, so only
+    the traditional-model file patterns are built.
     """
     _require_clean_base(base)
     return _rotated(base)
@@ -99,23 +97,16 @@ def rotate_2rr1s(base: Scheme) -> Scheme:
 
 def _rotated(base: Scheme) -> Scheme:
     """The rotation of a base that has already passed `_require_clean_base`."""
-    N, L, spec = base.N, base.L, base.field
-    L2 = 2 * L
+    N, L = base.N, base.L
     amap, bmap = _part_maps(N, L)
-    cols2 = N * L2
-
-    placement = tuple(_interleaved(base.placement_matrix(k), (amap, bmap), cols2)
-                      for k in range(1, 4))
+    placement = tuple(_interleaved(P, (amap, bmap), N * 2 * L) for P in base.placement)
 
     def signals(d: Demand) -> dict[int, SenderSignal]:
         return {k: _rotated_signal(base, placement[k - 1], d, sender=k, amap=amap, bmap=bmap)
                 for k in (1, 2, 3)}
 
-    form = (ModelKind.TRADITIONAL_D2D, N, 3, 0)
-    orbit = isinstance(base, OrbitScheme)
-    demands = (enumerate_patterns if orbit else enumerate_demands)(*form)
-    return (OrbitScheme if orbit else LinearScheme)(
-        *form, L2, spec, placement, {d: signals(d) for d in demands})
+    return derived_scheme((base,), ModelKind.TRADITIONAL_D2D, N, 3, 0, 2 * L, base.field,
+                          placement, signals)
 
 
 def _rotated_signal(base: Scheme, new_P: FieldMatrix, d: Demand, sender: int,
@@ -140,8 +131,8 @@ def _rotated_signal(base: Scheme, new_P: FieldMatrix, d: Demand, sender: int,
     block = base.L * spec.m
     file_d1 = ((1 << block) - 1) << (d1 - 1) * block
     split = [a if j // base.L + 1 == d1 else b for j, (a, b) in enumerate(zip(amap, bmap))]
-    symbols = sig.matrix.matmul(base.placement_matrix(2))
-    known = base.placement_matrix(1)._echelon.copy()
+    symbols = sig.matrix.matmul(base.placement[1])
+    known = base.placement[0]._echelon.copy()
 
     coeff_images: list[int] = []
     raw_images: list[int] = []
@@ -207,7 +198,7 @@ def prune_signal(scheme: Scheme, demand: Demand,
     spans = {}
     for r in real:
         span = RowSpan(scheme.field, scheme.symbol_count)
-        span.add_matrix(scheme.placement_matrix(r))
+        span.add_matrix(scheme.placement[r - 1])
         spans[r] = span
 
     def decodes(keys) -> bool:
@@ -270,9 +261,17 @@ def average_rate(p: Probability, rates: Mapping[int, Fraction]) -> Probability:
 @dataclass(frozen=True)
 class RequestRandomAdaptation:
     base: Scheme
-    scheme: LinearScheme
+    scheme: Scheme
     per_r_worst: Mapping[int, Fraction]
     fake_assignments: Mapping[Demand, FakeAssignment]
+
+
+def _fake_assignment(d: Demand) -> FakeAssignment:
+    """The lowest-index idle user sends; the other idle user fakes the one request of d."""
+    (real,) = requesters_of(d)
+    sender, fake = senders_of(d)
+    fake_demand = tuple(d[real - 1] if k == fake else v for k, v in enumerate(d, start=1))
+    return FakeAssignment(d, fake_demand, {fake: d[real - 1]}, sender)
 
 
 def adapt_request_random(base: Scheme) -> RequestRandomAdaptation:
@@ -281,57 +280,45 @@ def adapt_request_random(base: Scheme) -> RequestRandomAdaptation:
     r=2 demands replay the base rule; r=3 demands use the rotated rule;
     an r=1 demand promotes the lowest-index idle user to designated
     sender, treats the other idle user as a fake requester for the real
-    file, and prunes rows only the fake needed; r=0 sends nothing.
+    file, and prunes rows only the fake needed; r=0 sends nothing.  Each
+    rule moves with a file relabelling, so an OrbitScheme base adapts to
+    an OrbitScheme.
     """
     _require_clean_base(base)
     rotated = _rotated(base)
-    N, L, spec = base.N, base.L, base.field
-    L2 = 2 * L
+    N, L2, spec = base.N, 2 * base.L, base.field
     placement = rotated.placement
 
-    delivery: dict[Demand, dict[int, SenderSignal]] = {}
-    fake_assignments: dict[Demand, FakeAssignment] = {}
-    worst = {0: Fraction(0), 1: Fraction(0), 2: Fraction(0), 3: Fraction(0)}
+    def interleaved(matrix: FieldMatrix, sender: int) -> SenderSignal:
+        return SenderSignal(_interleaved(matrix, _coeff_maps(matrix.ncols),
+                                         placement[sender - 1].nrows))
 
-    for d in enumerate_demands(ModelKind.REQUEST_RANDOM, N, 3):
+    def signals(d: Demand) -> dict[int, SenderSignal]:
         requesters = requesters_of(d)
-        r = len(requesters)
-        if r == 0:
-            delivery[d] = {
-                k: SenderSignal(FieldMatrix.empty(spec, placement[k - 1].nrows))
-                for k in (1, 2, 3)
-            }
-        elif r == 1:
-            (real,) = requesters
-            sender, fake = senders_of(d)
-            fd = list(d)
-            fd[fake - 1] = d[real - 1]
-            fd[sender - 1] = 0
-            fake_demand = tuple(fd)
-            pruned = prune_signal(base, fake_demand, (real,))
-            kept = pruned.kept_rows_of(sender)
-            sig = base.signals(fake_demand)[sender]
-            images = sig.matrix.images
-            kept_rows = FieldMatrix(spec, len(kept), sig.matrix.ncols, tuple(images[i] for i in kept))
-            mat = _interleaved(kept_rows, _coeff_maps(sig.matrix.ncols),
-                               placement[sender - 1].nrows)
-            delivery[d] = {
-                sender: SenderSignal(mat),
-                fake: SenderSignal(FieldMatrix.empty(spec, placement[fake - 1].nrows)),
-            }
-            fake_assignments[d] = FakeAssignment(d, fake_demand, {fake: d[real - 1]}, sender)
-            worst[1] = max(worst[1], Fraction(pruned.row_count, L))
-        elif r == 2:
+        if len(requesters) == 3:
+            return dict(rotated.signals(d))
+        if len(requesters) == 2:
             (sender,) = senders_of(d)
-            sig = base.signals(d)[sender]
-            mat = _interleaved(sig.matrix, _coeff_maps(sig.matrix.ncols),
-                               placement[sender - 1].nrows)
-            delivery[d] = {sender: SenderSignal(mat)}
-            worst[2] = max(worst[2], Fraction(sig.row_count, L))
-        else:
-            delivery[d] = dict(rotated.delivery[d])
-            rate = Fraction(sum(s.row_count for s in rotated.delivery[d].values()), L2)
-            worst[3] = max(worst[3], rate)
+            return {sender: interleaved(base.signals(d)[sender].matrix, sender)}
+        out = {k: SenderSignal(FieldMatrix.empty(spec, placement[k - 1].nrows))
+               for k in senders_of(d)}
+        if requesters:
+            fake = _fake_assignment(d)
+            kept = prune_signal(base, fake.fake_demand, requesters).kept_rows_of(fake.sender)
+            matrix = base.signals(fake.fake_demand)[fake.sender].matrix
+            out[fake.sender] = interleaved(
+                FieldMatrix(spec, len(kept), matrix.ncols, tuple(matrix.images[i] for i in kept)),
+                fake.sender)
+        return out
 
-    scheme = LinearScheme(ModelKind.REQUEST_RANDOM, N, 3, None, L2, spec, placement, delivery)
+    scheme = derived_scheme((base,), ModelKind.REQUEST_RANDOM, N, 3, None, L2, spec, placement,
+                            signals)
+    most_rows = dict.fromkeys(range(4), 0)
+    fake_assignments = {}
+    for d in enumerate_demands(ModelKind.REQUEST_RANDOM, N, 3):
+        r = len(requesters_of(d))
+        most_rows[r] = max(most_rows[r], sum(scheme.delivery_row_counts(d).values()))
+        if r == 1:
+            fake_assignments[d] = _fake_assignment(d)
+    worst = {r: Fraction(rows, L2) for r, rows in most_rows.items()}
     return RequestRandomAdaptation(base, scheme, worst, fake_assignments)

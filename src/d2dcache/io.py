@@ -24,6 +24,10 @@ from .model import Demand, LinearScheme, ModelKind, SenderSignal
 
 BUILTIN_PREFIX = "builtin:"
 
+# Largest N*L a document may name.  A row span's masks are N*L*m bits wide,
+# so an empty placement would otherwise make a tiny document cost gigabytes.
+_SYMBOL_LIMIT = 10 ** 6
+
 _BUILTINS = {
     "2rr1s/full": (catalog.build_2rr1s_scheme, catalog.CornerPointId.FULL),
     "2rr1s/mds-half": (catalog.build_2rr1s_scheme, catalog.CornerPointId.MDS_HALF),
@@ -149,6 +153,9 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
     for name, value in (("N", N), ("K", K), ("L", L)):
         if value < 1:
             raise InterchangeError(f"{name} must be positive, got {value}", field=name)
+    if N * L > _SYMBOL_LIMIT:
+        raise InterchangeError(f"N*L = {N * L} symbols exceed the limit of {_SYMBOL_LIMIT}",
+                               field="L")
     field_m = _require(doc, "field_m", int)
     if not 1 <= field_m <= _EXHAUSTIVE_CHECK_LIMIT:
         # larger degrees make the modulus search by trial division exponential

@@ -39,6 +39,9 @@ demand in enumeration order.  Two scheme forms share one accessor surface:
 What a sender puts on the air is always `SenderSignal.sent`: its encoding
 rows times its cache, then its raw rows.
 
+Every transform but `permute_scheme`, which relabels only the demands a
+scheme delivers, builds its output with `derived_scheme`.
+
 Every demand is listed and reported, so the demand count is capped at
 `DEMAND_BUDGET` before anything is enumerated.
 """
@@ -353,9 +356,6 @@ class _Placement:
     def placement_rows(self, k: int) -> int:
         return self.placement[k - 1].nrows
 
-    def placement_matrix(self, k: int) -> FieldMatrix:
-        return self.placement[k - 1]
-
 
 @dataclass(frozen=True)
 class LinearScheme(_Placement):
@@ -520,6 +520,21 @@ class OrbitScheme(_Placement):
 
 
 Scheme = Union[LinearScheme, OrbitScheme]
+
+
+def derived_scheme(bases: Iterable[Scheme], model: ModelKind, N: int, K: int, s: Optional[int],
+                   L: int, field: FieldSpec, placement: Sequence[FieldMatrix],
+                   signals: Callable[[Demand], dict[int, SenderSignal]]) -> Scheme:
+    """A transform's output, with `signals(d)` as demand d's delivery.
+
+    An OrbitScheme of the file patterns when every base is one; its
+    constructor checks that the rule moves with file relabelling.
+    Otherwise a LinearScheme of every demand.
+    """
+    orbit = all(isinstance(base, OrbitScheme) for base in bases)
+    demands = (enumerate_patterns if orbit else enumerate_demands)(model, N, K, s)
+    return (OrbitScheme if orbit else LinearScheme)(
+        model, N, K, s, L, field, tuple(placement), {d: signals(d) for d in demands})
 
 
 def _as_perm(perm: Sequence[int], n: int, what: str) -> tuple[int, ...]:

@@ -1,9 +1,9 @@
 """Space-sharing composition: memory sharing and full symmetrization.
 
 Both transformations lay copies of base schemes on disjoint subfile-slot
-blocks of every file.  Memory sharing builds the composite scheme, and a
-composite of OrbitSchemes, raw rows and all, is built once per file
-pattern.
+blocks of every file.  Memory sharing builds the composite scheme through
+`model.derived_scheme`, so a composite of OrbitSchemes, raw rows and all,
+is built once per file pattern.
 Symmetrization over all joint user/file permutations returns a scheme
 whose rate accounting is one pass over the base, summed per joint
 (demand, sender) orbit type, since the explicit matrices grow with N!.K!;
@@ -24,11 +24,10 @@ from .field import FieldMatrix, FieldSpec
 from .model import (
     Demand,
     LinearScheme,
-    OrbitScheme,
     Scheme,
     SenderSignal,
+    derived_scheme,
     enumerate_demands,
-    enumerate_patterns,
     permute_scheme,
     senders_of,
     symbol_col,
@@ -57,12 +56,11 @@ def concatenate_blocks(parts: Sequence[tuple[Scheme, int]]) -> Scheme:
 
     The composite has sum(count * L) slots per file; over
     DEFAULT_SYMMETRIZE_BUDGET it raises ResourceBudgetError before anything
-    is built.  When every block is an
-    OrbitScheme, so is the composite: each block keeps its file-symmetric
-    spans and the stabilizer contract on its own slots, raw rows included,
-    so only the file patterns are built, each with the same block-diagonal
-    signal an explicit composite gives that demand.  Otherwise every demand
-    is built.  Either way each block is read through `signals(d)`.
+    is built.  Each block is read through `signals(d)`.  When every block
+    is an OrbitScheme, so is the composite (`derived_scheme`): each block
+    keeps its file-symmetric spans and the stabilizer contract on its own
+    slots, raw rows included, so each pattern gets the block-diagonal
+    signal an explicit composite gives that demand.
     """
     if any(count < 0 for _, count in parts):
         raise ConfigurationError("block count must be nonnegative")
@@ -91,23 +89,19 @@ def concatenate_blocks(parts: Sequence[tuple[Scheme, int]]) -> Scheme:
 
     placement = [
         _stacked(first.field, N * L_total,
-                 (sch.placement_matrix(k).map_columns(cmap, N * L_total)
+                 (sch.placement[k - 1].map_columns(cmap, N * L_total)
                   for sch, cmap in zip(instances, col_maps)))
         for k in range(1, K + 1)
     ]
 
-    orbit = all(isinstance(sch, OrbitScheme) for sch in instances)
-    demands = (enumerate_patterns if orbit else enumerate_demands)(first.model, N, K, first.s)
-    delivery: dict[Demand, dict[int, SenderSignal]] = {}
-    for d in demands:
+    def signals(d: Demand) -> dict[int, SenderSignal]:
         # each scheme's signals once, whatever its count
         per_part = [sch.signals(d) for sch, _ in parts]
-        signals = [per for per, (_, count) in zip(per_part, parts) for _ in range(count)]
+        blocks_of = [per for per, (_, count) in zip(per_part, parts) for _ in range(count)]
         per_sender: dict[int, SenderSignal] = {}
         for k in senders_of(d):
-            blocks = [per[k] for per in signals]
+            blocks = [per[k] for per in blocks_of]
             widths = [sch.placement_rows(k) for sch in instances]
-            total_w = sum(widths)
             images: list[int] = []
             raw_blocks: list[FieldMatrix] = []
             col_off = 0
@@ -118,13 +112,13 @@ def concatenate_blocks(parts: Sequence[tuple[Scheme, int]]) -> Scheme:
                 col_off += w
             raw = _stacked(first.field, N * L_total, raw_blocks)
             per_sender[k] = SenderSignal(
-                FieldMatrix(first.field, len(images), total_w, tuple(images)),
+                FieldMatrix(first.field, len(images), sum(widths), tuple(images)),
                 raw if raw.nrows else None,
             )
-        delivery[d] = per_sender
+        return per_sender
 
-    form = OrbitScheme if orbit else LinearScheme
-    return form(first.model, N, K, first.s, L_total, first.field, tuple(placement), delivery)
+    return derived_scheme(instances, first.model, N, K, first.s, L_total, first.field,
+                          placement, signals)
 
 
 def memory_share(a: Scheme, b: Scheme, alpha: Fraction) -> Scheme:
@@ -232,9 +226,6 @@ class SymmetrizedScheme:
 
     def signals(self, d: Demand) -> dict[int, SenderSignal]:
         return self._explicit.signals(d)
-
-    def placement_matrix(self, k: int) -> FieldMatrix:
-        return self._explicit.placement_matrix(k)
 
     def transmitted_rows(self, d: Demand) -> dict[int, FieldMatrix]:
         return self._explicit.transmitted_rows(d)

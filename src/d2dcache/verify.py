@@ -173,7 +173,7 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
     symmetric = False
     if check_decodability:
         user_spans = {}
-        placements = [scheme.placement_matrix(k) for k in range(1, K + 1)]
+        placements = list(scheme.placement)
         placement_full_rank = True
         for k, P in enumerate(placements, start=1):
             span = RowSpan(scheme.field, P.ncols)

@@ -92,7 +92,7 @@ def decodes_demand(scheme, d, users, signals=None):
         signals = scheme.transmitted_rows(d)
     for r in users:
         span = RowSpan(scheme.field, scheme.symbol_count)
-        span.add_matrix(scheme.placement_matrix(r))
+        span.add_matrix(scheme.placement[r - 1])
         for mat in signals.values():
             span.add_matrix(mat)
         if not _file_decodable(span, scheme.N, scheme.L, d[r - 1]):

@@ -146,7 +146,7 @@ def test_prune_monotone_and_still_decodes(N):
             assert pruned.row_count <= before
             for r in real:
                 span = RowSpan(scheme.field, scheme.symbol_count)
-                span.add_matrix(scheme.placement_matrix(r))
+                span.add_matrix(scheme.placement[r - 1])
                 for row in pruned.symbol_rows:
                     span.add(row)
                 assert _file_decodable(span, N, scheme.L, demand[r - 1])

@@ -1,0 +1,25 @@
+"""The benchmark's in-process workloads still run on the package, at tiny sizes.
+
+`benchmarks/jobs.py` calls package functions by name and checks each
+report against a digest in `benchmarks/reference.json`.  Running those
+jobs here means a package change that breaks a job, or moves a report,
+fails the package's own tests and not only `benchmarks/tests`.
+cli-roundtrip is left to `benchmarks/tests`: it starts child processes.
+"""
+
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+@pytest.mark.parametrize("workload", ["kuser-gf2", "kuser-gf8", "2rr1s-transforms"])
+def test_every_in_process_job_passes_its_checks(workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from worker import run_pass
+
+    result = run_pass(workload, seed=1, size="tiny", root=tmp_path)
+    failed = {job["name"]: job["problems"] for job in result["jobs"] if not job["ok"]}
+    assert failed == {}
+    assert result["jobs"]

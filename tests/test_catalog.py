@@ -90,7 +90,7 @@ def test_half_rate_matches_printed_n2_layout():
         {A(2), B(2), A(3), B(3), x(A(5), A(6)), x(B(5), B(6)), x(A(6), B(5))},
     ]
     for k in range(1, 4):
-        assert row_set(scheme.placement_matrix(k)) == frozenset(expected[k - 1])
+        assert row_set(scheme.placement[k - 1]) == frozenset(expected[k - 1])
 
 
 def test_half_rate_matches_printed_n3_layout():
@@ -108,8 +108,8 @@ def test_half_rate_matches_printed_n3_layout():
          x(C(5), C(6)), x(A(6), B(5)), x(B(6), C(5))},
     ]
     for k in range(1, 4):
-        assert row_set(scheme.placement_matrix(k)) == frozenset(expected[k - 1])
-        assert scheme.placement_matrix(k).nrows == 11
+        assert row_set(scheme.placement[k - 1]) == frozenset(expected[k - 1])
+        assert scheme.placement[k - 1].nrows == 11
 
 
 def test_traditional_coded_point():

@@ -96,6 +96,9 @@ BAD_DOCUMENTS = [
     ("L-zero", lambda doc: doc.update(L=0, placement=[[], [], []], delivery={}), "field: L"),
     ("L-negative", lambda doc: doc.update(L=-1, placement=[[], [], []], delivery={}),
      "field: L"),
+    # a tiny document may still name more symbols than any row span should hold
+    ("L-huge", lambda doc: doc.update(L=10 ** 6, placement=[[], [], []], delivery={}),
+     "field: L"),
     ("K-zero", lambda doc: doc.update(model="traditional", K=0, s=0, placement=[], delivery={}),
      "field: K"),
     ("N-zero", lambda doc: doc.update(N=0), "field: N"),

@@ -257,7 +257,7 @@ def _decodes_by_exhaustive_enumeration(scheme, demand, user):
     """
     import itertools
     n_sym = scheme.symbol_count
-    P = scheme.placement_matrix(user)
+    P = scheme.placement[user - 1]
     signal_rows = [row for mat in scheme.transmitted_rows(demand).values() for row in mat.rows]
     file_id = demand[user - 1]
     lo = (file_id - 1) * scheme.L
@@ -452,7 +452,7 @@ def test_file_transposition_fixes_file_symmetric_placement():
     scheme = cached_2rr1s(CornerPointId.MDS_HALF, 3)
     swapped = permute_scheme(scheme, (1, 2, 3), (2, 1, 3))
     for k in range(1, 4):
-        assert row_set(swapped.placement_matrix(k)) == row_set(scheme.placement_matrix(k))
+        assert row_set(swapped.placement[k - 1]) == row_set(scheme.placement[k - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def assert_matches_oracle(scheme, report):
 
 
 def _placement_symmetric(scheme) -> bool:
-    placements = [scheme.placement_matrix(k) for k in range(1, scheme.K + 1)]
+    placements = [scheme.placement[k - 1] for k in range(1, scheme.K + 1)]
     spans = []
     for P in placements:
         spans.append(RowSpan(scheme.field, P.ncols))
@@ -111,8 +111,8 @@ def _invariant_under_every_permutation(scheme) -> bool:
         moved = permute_scheme(scheme, identity, fp)
         for k in range(1, scheme.K + 1):
             span = RowSpan(scheme.field, scheme.symbol_count)
-            span.add_matrix(scheme.placement_matrix(k))
-            if not all(span.contains(row) for row in moved.placement_matrix(k).rows):
+            span.add_matrix(scheme.placement[k - 1])
+            if not all(span.contains(row) for row in moved.placement[k - 1].rows):
                 return False
     return True
 

@@ -3,9 +3,10 @@
 Each OrbitScheme is checked against its own expansion: the LinearScheme
 that holds `dict(scheme.delivery)`, in which every demand's rows are
 explicit and verify decides them through the exact-match path.  Memory
-shares and rotations of OrbitSchemes are checked against the same
-transform applied to the expansions, and kuser/mds against the explicit
-builder it replaced (`conftest.explicit_kuser_mds`), up to row order.
+shares, rotations and request-random adaptations of OrbitSchemes are
+checked against the same transform applied to the expansions, and
+kuser/mds against the explicit builder it replaced
+(`conftest.explicit_kuser_mds`), up to row order.
 """
 
 import importlib
@@ -305,7 +306,7 @@ def test_which_transforms_stay_orbit_native():
             assert isinstance(rotate_2rr1s(cached_2rr1s(point, N)), OrbitScheme)
         # half-rate's user-2 rows cross files and rotate to raw rows, which move like the rest
         assert isinstance(rotate_2rr1s(cached_2rr1s(HALF, N)), OrbitScheme)
-        assert isinstance(adapt_request_random(cached_2rr1s(MDS, N)).scheme, LinearScheme)
+        assert isinstance(adapt_request_random(cached_2rr1s(MDS, N)).scheme, OrbitScheme)
     assert isinstance(rotate_2rr1s(_share(MDS, MAN, 2)), OrbitScheme)
     n2 = cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2)
     assert isinstance(memory_share(cached_2rr1s(MDS, 2), n2, Fraction(1, 2)), LinearScheme)
@@ -360,6 +361,10 @@ SHARES = list(_share_cases())
 def test_rotation_equals_the_rotation_of_the_expanded_base(label, base):
     base = base()
     _assert_same_scheme(rotate_2rr1s(base), rotate_2rr1s(_expanded(base)))
+    got, want = adapt_request_random(base), adapt_request_random(_expanded(base))
+    _assert_same_scheme(got.scheme, want.scheme)
+    assert got.per_r_worst == want.per_r_worst
+    assert got.fake_assignments == want.fake_assignments
 
 
 @pytest.mark.parametrize("label,pair", SHARES, ids=[label for label, _ in SHARES])
@@ -373,8 +378,11 @@ def test_share_equals_the_share_of_the_expanded_blocks(label, pair):
 
 @pytest.mark.parametrize("make", [lambda: _share(HALF, MAN, 3, Fraction(2, 5)),
                                   lambda: rotate_2rr1s(cached_2rr1s(MDS, 3)),
-                                  lambda: rotate_2rr1s(cached_2rr1s(MAN, 3))],
-                         ids=["share(half-rate, man-2-3)", "rotate(mds-half)", "rotate(man-2-3)"])
+                                  lambda: rotate_2rr1s(cached_2rr1s(MAN, 3)),
+                                  lambda: adapt_request_random(cached_2rr1s(MDS, 3)).scheme,
+                                  lambda: adapt_request_random(cached_2rr1s(MAN, 3)).scheme],
+                         ids=["share(half-rate, man-2-3)", "rotate(mds-half)", "rotate(man-2-3)",
+                              "adapt(mds-half)", "adapt(man-2-3)"])
 def test_verify_of_a_transform_decides_only_patterns(make, monkeypatch):
     scheme = make()
     assert isinstance(scheme, OrbitScheme)
