@@ -293,32 +293,34 @@ def adapt_request_random(base: Scheme) -> RequestRandomAdaptation:
         return SenderSignal(_interleaved(matrix, _coeff_maps(matrix.ncols),
                                          placement[sender - 1].nrows))
 
+    most_rows = dict.fromkeys(range(4), 0)
+
     def signals(d: Demand) -> dict[int, SenderSignal]:
         requesters = requesters_of(d)
         if len(requesters) == 3:
-            return dict(rotated.signals(d))
-        if len(requesters) == 2:
+            out = dict(rotated.signals(d))
+        elif len(requesters) == 2:
             (sender,) = senders_of(d)
-            return {sender: interleaved(base.signals(d)[sender].matrix, sender)}
-        out = {k: SenderSignal(FieldMatrix.empty(spec, placement[k - 1].nrows))
-               for k in senders_of(d)}
-        if requesters:
-            fake = _fake_assignment(d)
-            kept = prune_signal(base, fake.fake_demand, requesters).kept_rows_of(fake.sender)
-            matrix = base.signals(fake.fake_demand)[fake.sender].matrix
-            out[fake.sender] = interleaved(
-                FieldMatrix(spec, len(kept), matrix.ncols, tuple(matrix.images[i] for i in kept)),
-                fake.sender)
+            out = {sender: interleaved(base.signals(d)[sender].matrix, sender)}
+        else:
+            out = {k: SenderSignal(FieldMatrix.empty(spec, placement[k - 1].nrows))
+                   for k in senders_of(d)}
+            if requesters:
+                fake = _fake_assignment(d)
+                kept = prune_signal(base, fake.fake_demand, requesters).kept_rows_of(fake.sender)
+                matrix = base.signals(fake.fake_demand)[fake.sender].matrix
+                out[fake.sender] = interleaved(FieldMatrix(
+                    spec, len(kept), matrix.ncols, tuple(matrix.images[i] for i in kept)),
+                    fake.sender)
+        # every demand of a file pattern sends the pattern's rows, so this sees the worst case
+        r = len(requesters)
+        most_rows[r] = max(most_rows[r], sum(sig.row_count for sig in out.values()))
         return out
 
     scheme = derived_scheme((base,), ModelKind.REQUEST_RANDOM, N, 3, None, L2, spec, placement,
                             signals)
-    most_rows = dict.fromkeys(range(4), 0)
-    fake_assignments = {}
-    for d in enumerate_demands(ModelKind.REQUEST_RANDOM, N, 3):
-        r = len(requesters_of(d))
-        most_rows[r] = max(most_rows[r], sum(scheme.delivery_row_counts(d).values()))
-        if r == 1:
-            fake_assignments[d] = _fake_assignment(d)
+    fake_assignments = {d: _fake_assignment(d)
+                        for d in enumerate_demands(ModelKind.REQUEST_RANDOM, N, 3)
+                        if len(requesters_of(d)) == 1}
     worst = {r: Fraction(rows, L2) for r, rows in most_rows.items()}
     return RequestRandomAdaptation(base, scheme, worst, fake_assignments)

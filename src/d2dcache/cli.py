@@ -12,9 +12,11 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .adapters import average_rate
 from .bounds import (
@@ -25,7 +27,7 @@ from .bounds import (
 )
 from .curves import envelope, parse_fraction
 from .errors import D2DCacheError, FeasibilityError
-from .io import dump_scheme, resolve_scheme
+from .io import resolve_scheme, scheme_to_dict
 from .verify import verify
 
 EXIT_OK = 0
@@ -34,6 +36,12 @@ EXIT_VERIFY_FAILED = 2
 
 # Each sample is one exact Fraction held in memory, so the grid is capped.
 MAX_SAMPLES = 10_000
+
+# Encoder pieces joined into one write.  Joining all of them would hold the
+# whole document as a list of ~10^5-10^6 small strings plus their join.
+# Writing each piece alone is one system call per piece when stdout is
+# unbuffered (PYTHONUNBUFFERED=1), which is slower than building the text.
+JSON_BATCH = 4096
 
 
 class UsageError(Exception):
@@ -85,19 +93,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+@contextmanager
+def _output(out: Optional[str]) -> Iterator[TextIO]:
+    """stdout, or a temp file beside `out` that replaces `out` only on success."""
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        yield sys.stdout
         return
     target = Path(out)
     fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=".d2dcache-")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
+            yield handle
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -105,6 +111,22 @@ def _write_output(text: str, out: Optional[str]) -> None:
         except OSError:
             pass
         raise
+
+
+def _write_output(text: str, out: Optional[str]) -> None:
+    with _output(out) as handle:
+        handle.write(text)
+        if not text.endswith("\n"):
+            handle.write("\n")
+
+
+def _write_json(doc: object, out: Optional[str]) -> None:
+    """`json.dumps(doc, indent=2)` and a newline, without ever holding the whole text."""
+    pieces = json.JSONEncoder(indent=2).iterencode(doc)
+    with _output(out) as handle:
+        while batch := list(islice(pieces, JSON_BATCH)):
+            handle.write("".join(batch))
+        handle.write("\n")
 
 
 def _parse_baselines(items: Sequence[str]) -> dict[str, str]:
@@ -135,7 +157,7 @@ def _sample_grid(lo: Fraction, hi: Fraction, samples: int,
 def cmd_verify(args) -> int:
     scheme = resolve_scheme(args.source, args.N, args.K, args.s)
     report = verify(scheme)
-    _write_output(json.dumps(report.to_json_dict(), indent=2), args.out)
+    _write_json(report.to_json_dict(), args.out)
     if report.passed:
         return EXIT_OK
     failing = [",".join(str(v) for v in e.demand) for e in report.demands if not e.decodable]
@@ -150,7 +172,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     scheme = resolve_scheme(args.source, args.N, args.K, args.s)
-    _write_output(dump_scheme(scheme), args.out)
+    _write_json(scheme_to_dict(scheme), args.out)
     return EXIT_OK
 
 

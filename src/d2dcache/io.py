@@ -219,11 +219,13 @@ def scheme_from_dict(doc: dict) -> LinearScheme:
 
 def _unique_keys(pairs: list) -> dict:
     """A JSON object whose keys all differ; json.loads would keep only the last."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise InterchangeError(f"duplicate key {key!r}")
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise InterchangeError(f"duplicate key {key!r}")
+            seen.add(key)
     return obj
 
 

@@ -209,6 +209,27 @@ def test_adapted_preprocessed_scheme_decodes_up_to_two_requesters():
     assert not report.encoding_clean
 
 
+def test_adaptation_reads_no_row_counts_back(monkeypatch):
+    # per_r_worst is tallied while the adapted signals are built; reading the
+    # row counts back would look up every request-random demand's pattern
+    from d2dcache.model import OrbitScheme
+    base = cached_2rr1s(CornerPointId.MDS_HALF, 4)
+    readers = []
+    for cls in (LinearScheme, OrbitScheme):
+        original = cls.delivery_row_counts
+
+        def spy(self, d, original=original):
+            readers.append(self)
+            return original(self, d)
+
+        monkeypatch.setattr(cls, "delivery_row_counts", spy)
+    adaptation = adapt_request_random(base)
+    assert [r for r in readers if r is not base] == []
+    assert adaptation.per_r_worst == {
+        0: Fraction(0), 1: Fraction(1, 2), 2: Fraction(1), 3: Fraction(3, 2),
+    }
+
+
 def test_profile_average_formula():
     adaptation = adapt_request_random(cached_2rr1s(CornerPointId.MAN_TWO_THIRDS, 4))
     p = Fraction(59, 100)

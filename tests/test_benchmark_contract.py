@@ -1,17 +1,19 @@
-"""The benchmark's in-process workloads still run on the package, at tiny sizes.
+"""The benchmark's workloads still run on the package, at tiny sizes.
 
 `benchmarks/jobs.py` calls package functions by name and checks each
 report against a digest in `benchmarks/reference.json`.  Running those
 jobs here means a package change that breaks a job, or moves a report,
 fails the package's own tests and not only `benchmarks/tests`.
-cli-roundtrip is left to `benchmarks/tests`: it starts child processes.
+cli-roundtrip runs its CLI children from a root whose `src` links to this
+package: their stdout digests, exit codes and one-line stderr are checked.
 """
 
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "benchmarks"
+REPO = Path(__file__).resolve().parents[1]
+BENCH = REPO / "benchmarks"
 
 
 @pytest.mark.parametrize("workload", ["kuser-gf2", "kuser-gf8", "2rr1s-transforms"])
@@ -20,6 +22,17 @@ def test_every_in_process_job_passes_its_checks(workload, tmp_path, monkeypatch)
     from worker import run_pass
 
     result = run_pass(workload, seed=1, size="tiny", root=tmp_path)
+    failed = {job["name"]: job["problems"] for job in result["jobs"] if not job["ok"]}
+    assert failed == {}
+    assert result["jobs"]
+
+
+def test_every_cli_job_passes_its_checks(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from worker import run_pass
+
+    (tmp_path / "src").symlink_to(REPO / "src")
+    result = run_pass("cli-roundtrip", seed=1, size="tiny", root=tmp_path)
     failed = {job["name"]: job["problems"] for job in result["jobs"] if not job["ok"]}
     assert failed == {}
     assert result["jobs"]

@@ -1,6 +1,8 @@
 """Interchange round-trips and the command-line surface."""
 
+import io
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -126,6 +128,12 @@ def test_loader_names_bad_fields():
     with pytest.raises(InterchangeError) as err:
         load_scheme_text(text.replace('"0,1,1": ', '"0,1,1": {"1": []}, "0,1,1": ', 1))
     assert "duplicate key '0,1,1'" in str(err.value)
+    # "0,2,2" is written first, but the first repeat in the document is "0,1,1"
+    with pytest.raises(InterchangeError) as err:
+        load_scheme_text(text.replace(
+            '"0,1,1": ', '"0,2,2": {"1": []}, "0,1,1": {"1": []}, "0,1,1": ', 1))
+    assert "duplicate key '0,1,1'" in str(err.value)
+    assert "0,2,2" not in str(err.value)
 
 
 @pytest.mark.parametrize("change,expected", [c[1:] for c in BAD_DOCUMENTS],
@@ -317,12 +325,18 @@ def test_cli_unknown_builtin_is_usage_error(capsys):
     assert "unknown builtin" in capsys.readouterr().err
 
 
-def test_cli_detects_corrupted_scheme(tmp_path, capsys):
+def _corrupted_n2_document(tmp_path):
+    """CLI arguments naming n2-7-8 with one row cut from demand 0,1,2, and its scheme."""
     doc = scheme_to_dict(cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2))
     doc["delivery"]["0,1,2"]["1"] = doc["delivery"]["0,1,2"]["1"][1:]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
-    code = main(["verify", str(path)])
+    return [str(path)], load_scheme_text(path.read_text())
+
+
+def test_cli_detects_corrupted_scheme(tmp_path, capsys):
+    args, _ = _corrupted_n2_document(tmp_path)
+    code = main(["verify", *args])
     captured = capsys.readouterr()
     assert code == 2
     report = json.loads(captured.out)
@@ -338,6 +352,50 @@ def test_cli_export_round_trip(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["worst_case_rate"] == "1/2"
     assert report["L"] == 6
+
+
+@pytest.mark.parametrize("source", ["n2-7-8", "kuser/mds N=4 K=5 s=2", "corrupted"])
+def test_cli_writes_the_bytes_of_json_dumps(tmp_path, capsys, source):
+    """Streamed output is byte for byte the indent=2 text and one newline."""
+    if source == "corrupted":
+        args, scheme = _corrupted_n2_document(tmp_path)
+    elif source == "n2-7-8":
+        args, scheme = ["builtin:2rr1s/n2-7-8"], cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2)
+    else:
+        args = ["builtin:kuser/mds", "--N", "4", "--K", "5", "--s", "2"]
+        scheme = cached_kuser(CornerPointId.KU_MDS, 4, 5, 2)
+    report = verify(scheme)
+    assert main(["verify", *args]) == (0 if report.passed else 2)
+    assert capsys.readouterr().out == json.dumps(report.to_json_dict(), indent=2) + "\n"
+
+    exported = dump_scheme(scheme) + "\n"
+    assert main(["export", *args]) == 0
+    assert capsys.readouterr().out == exported
+    out = tmp_path / "export.json"
+    assert main(["export", *args, "--out", str(out)]) == 0
+    assert out.read_text() == exported
+    assert capsys.readouterr().out == ""
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_cli_writes_json_in_batches(monkeypatch):
+    # neither one write of the whole text nor one write per encoder piece
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["verify", "builtin:kuser/mds", "--N", "4", "--K", "5", "--s", "2"]) == 0
+    total = len(stdout.getvalue())
+    assert total == sum(stdout.sizes) > 100_000
+    assert 3 <= len(stdout.sizes) <= 50
+    assert max(stdout.sizes) <= total / 4
 
 
 def test_cli_sweep_rows_exact(capsys):
