@@ -20,7 +20,7 @@ from math import comb
 from typing import Mapping, Sequence, Union
 
 from .errors import ConfigurationError
-from .field import FieldMatrix, RowSpan
+from .field import FieldMatrix
 from .model import (
     Demand,
     ModelKind,
@@ -195,15 +195,9 @@ def prune_signal(scheme: Scheme, demand: Demand,
             order.append((k, i))
             images[(k, i)] = image
 
-    spans = {}
-    for r in real:
-        span = RowSpan(scheme.field, scheme.symbol_count)
-        span.add_matrix(scheme.placement[r - 1])
-        spans[r] = span
-
     def decodes(keys) -> bool:
         for r in real:
-            span = spans[r].copy()
+            span = scheme.placement[r - 1]._echelon.copy()
             for key in keys:
                 span.add(images[key])
             if not _file_decodable(span, scheme.N, scheme.L, demand[r - 1]):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError
 from .field import GF2, FieldMatrix, FieldSpec, mds_generator, min_extension_degree
@@ -124,6 +124,21 @@ def _cache(N: int, L: int, images: Sequence[int]) -> FieldMatrix:
     return FieldMatrix(GF2, len(images), N * L, tuple(images))
 
 
+def _idle_sender_scheme(N: int, L: int, placement: tuple[FieldMatrix, ...],
+                        rows: Mapping[int, Callable[[int, int], list[int]]]) -> OrbitScheme:
+    """A GF(2) two-requester design in which idle user k sends rows[k](a, b).
+
+    a and b are the two requests in user order; the rows are symbol-space
+    images, expressed over user k's cache.
+    """
+    patterns = {}
+    for d in enumerate_patterns(ModelKind.TWO_RR_ONE_S, N, 3, 1):
+        k = d.index(0) + 1
+        a, b = (f for f in d if f)
+        patterns[d] = {k: encoded_signal(placement[k - 1], rows[k](a, b))}
+    return OrbitScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, patterns)
+
+
 def _mds_half(N: int) -> OrbitScheme:
     L = 2
     u = lambda n, l: unit_image(N, L, n, l)
@@ -132,21 +147,11 @@ def _mds_half(N: int) -> OrbitScheme:
     P1 = _cache(N, L, [parity[n] for n in files])
     P2 = _cache(N, L, [u(n, 1) for n in files])
     P3 = _cache(N, L, [u(n, 2) for n in files])
-    placement = (P1, P2, P3)
-    patterns = {}
-    for d in enumerate_patterns(ModelKind.TWO_RR_ONE_S, N, 3, 1):
-        d1, d2, d3 = d
-        if d1 == 0:
-            rows = [parity[d2], parity[d3]]
-            sender = 1
-        elif d2 == 0:
-            rows = [u(d1, 1), u(d3, 1)]
-            sender = 2
-        else:
-            rows = [u(d1, 2), u(d2, 2)]
-            sender = 3
-        patterns[d] = {sender: encoded_signal(placement[sender - 1], rows)}
-    return OrbitScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, patterns)
+    return _idle_sender_scheme(N, L, (P1, P2, P3), {
+        1: lambda a, b: [parity[a], parity[b]],
+        2: lambda a, b: [u(a, 1), u(b, 1)],
+        3: lambda a, b: [u(a, 2), u(b, 2)],
+    })
 
 
 def _man_two_thirds(N: int) -> OrbitScheme:
@@ -158,20 +163,11 @@ def _man_two_thirds(N: int) -> OrbitScheme:
         _cache(N, L, [u(n, sl) for n in range(1, N + 1) for sl in slots_of_user[k]])
         for k in (1, 2, 3)
     )
-    patterns = {}
-    for d in enumerate_patterns(ModelKind.TWO_RR_ONE_S, N, 3, 1):
-        d1, d2, d3 = d
-        if d1 == 0:
-            row = u(d2, 2) ^ u(d3, 1)
-            sender = 1
-        elif d2 == 0:
-            row = u(d1, 3) ^ u(d3, 1)
-            sender = 2
-        else:
-            row = u(d1, 3) ^ u(d2, 2)
-            sender = 3
-        patterns[d] = {sender: encoded_signal(placement[sender - 1], [row])}
-    return OrbitScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, patterns)
+    return _idle_sender_scheme(N, L, placement, {
+        1: lambda a, b: [u(a, 2) ^ u(b, 1)],
+        2: lambda a, b: [u(a, 3) ^ u(b, 1)],
+        3: lambda a, b: [u(a, 3) ^ u(b, 2)],
+    })
 
 
 def _half_rate(N: int) -> OrbitScheme:
@@ -195,20 +191,11 @@ def _half_rate(N: int) -> OrbitScheme:
         return _cache(N, L, out)
 
     placement = (cache((1, 2), (4, 5), 2), cache((3, 4), (1, 6), 4), cache((5, 6), (2, 3), 6))
-    patterns = {}
-    for d in enumerate_patterns(ModelKind.TWO_RR_ONE_S, N, 3, 1):
-        d1, d2, d3 = d
-        if d1 == 0:
-            rows = [u(d2, 2) ^ u(d3, 1), u(d3, 4), u(d2, 5)]
-            sender = 1
-        elif d2 == 0:
-            rows = [u(d1, 3) ^ u(d3, 4), u(d3, 1), u(d1, 6)]
-            sender = 2
-        else:
-            rows = [u(d1, 6) ^ u(d2, 5), u(d2, 2), u(d1, 3)]
-            sender = 3
-        patterns[d] = {sender: encoded_signal(placement[sender - 1], rows)}
-    return OrbitScheme(ModelKind.TWO_RR_ONE_S, N, 3, 1, L, GF2, placement, patterns)
+    return _idle_sender_scheme(N, L, placement, {
+        1: lambda a, b: [u(a, 2) ^ u(b, 1), u(b, 4), u(a, 5)],
+        2: lambda a, b: [u(a, 3) ^ u(b, 4), u(b, 1), u(a, 6)],
+        3: lambda a, b: [u(a, 6) ^ u(b, 5), u(b, 2), u(a, 3)],
+    })
 
 
 def _n2_seven_eighths() -> LinearScheme:

@@ -8,10 +8,11 @@ A row over GF(2^m) is stored as its binary image: one int with entry j in
 bits [j*m, (j+1)*m).  FieldMatrix keeps only these images and checks
 entries once, where rows of ints come in (`FieldMatrix.from_rows`, the
 loader's entry point; the builders write images directly).  Linear
-algebra runs over GF(2) on the images: one packed echelon (RowSpan)
-answers rank, membership and solving in every field, and a matrix product
-XORs the right factor's cached images of x^i * row, one per set bit of
-the left row.
+algebra runs over GF(2) on the images, and a matrix is eliminated once:
+its cached echelon (`FieldMatrix._echelon`, a RowSpan) answers its rank,
+membership and solving in every field, and a copy of it grows into a
+user's span of cache plus received rows.  A matrix product XORs the right
+factor's cached images of x^i * row, one per set bit of the left row.
 """
 
 from __future__ import annotations
@@ -233,7 +234,8 @@ class FieldMatrix:
         return FieldMatrix(self.spec, self.nrows, new_ncols, tuple(out))
 
     # Cached on the immutable matrix; only reused matrices, such as
-    # placements, reach them: as the right factor of matmul or as a basis.
+    # placements, reach them: as the right factor of matmul, or as a basis
+    # whose echelon gives its rank and seeds its user's spans.
 
     @functools.cached_property
     def _lifted(self) -> list[int]:
@@ -280,7 +282,10 @@ class RowSpan:
     x^i * (row k).  Read in m-bit lanes, the mask of a reduced target is the
     GF(2^m) weight of each matrix row, because field elements are
     polynomials stored as ints.  Rows that depend on earlier rows never
-    become pivots, so they get weight 0.
+    become pivots, so they get weight 0.  Every pivot's lowest set bit is a
+    row bit, and `contains` masks the coefficients away, so a copy of the
+    echelon grown with other rows still answers `contains` and `rank`; its
+    `express` no longer means anything.
     """
 
     def __init__(self, spec: FieldSpec, ncols: int):
@@ -300,10 +305,6 @@ class RowSpan:
     @property
     def rank(self) -> int:
         return len(self.pivots) // self.spec.m
-
-    def _image(self, row) -> int:
-        """Binary image of a row; an int is taken to be an image already."""
-        return row if isinstance(row, int) else _pack(row, self.spec.m)
 
     def _lift(self, mask: int) -> list[int]:
         """The images of x^i * row for i < m, from the image of row."""
@@ -336,9 +337,8 @@ class RowSpan:
         self.pivots[(residual & -residual).bit_length() - 1] = residual
         return True
 
-    def add(self, row) -> bool:
-        """Insert a row (or its binary image); True when it enlarged the span."""
-        mask = self._image(row)
+    def add(self, mask: int) -> bool:
+        """Insert a row's binary image; True when it enlarged the span."""
         if not self._insert(mask):
             return False  # the span is closed under x, so it holds every x^i * row
         for image in self._lift(mask)[1:]:
@@ -354,22 +354,20 @@ class RowSpan:
         for piv in other.pivots.values():
             self._insert(piv)
 
-    def contains(self, row) -> bool:
-        return not self._reduce(self._image(row)) & self._row_bits
+    def contains(self, mask: int) -> bool:
+        return not self._reduce(mask) & self._row_bits
 
-    def express(self, row) -> Optional[int]:
-        """Coefficient mask of row over a matrix's echelon; None outside the span."""
-        residual = self._reduce(self._image(row))
+    def express(self, mask: int) -> Optional[int]:
+        """Coefficient mask of a row image over a matrix's echelon; None outside the span."""
+        residual = self._reduce(mask)
         if residual & self._row_bits:
             return None
         return residual >> (self.ncols * self.spec.m)
 
 
 def mat_rank(matrix: FieldMatrix) -> int:
-    """Rank over the matrix's field."""
-    span = RowSpan(matrix.spec, matrix.ncols)
-    span.add_matrix(matrix)
-    return span.rank
+    """Rank over the matrix's field, from its cached echelon."""
+    return matrix._echelon.rank
 
 
 def solve_in_rowspace(target: Sequence[int], basis: FieldMatrix) -> Optional[tuple[int, ...]]:
@@ -381,8 +379,8 @@ def solve_in_rowspace(target: Sequence[int], basis: FieldMatrix) -> Optional[tup
     spec = basis.spec
     if len(target) != basis.ncols:
         raise ConfigurationError("target length must match basis column count")
-    row = [spec.check_element(int(v)) for v in target]
-    coeffs = basis._echelon.express(row)
+    image = _pack([spec.check_element(int(v)) for v in target], spec.m)
+    coeffs = basis._echelon.express(image)
     return None if coeffs is None else _unpack(coeffs, basis.nrows, spec.m)
 
 

@@ -42,8 +42,9 @@ rows times its cache, then its raw rows.
 Every transform but `permute_scheme`, which relabels only the demands a
 scheme delivers, builds its output with `derived_scheme`.
 
-Every demand is listed and reported, so the demand count is capped at
-`DEMAND_BUDGET` before anything is enumerated.
+Every demand is listed and reported, so before anything is enumerated the
+demand count is capped at `DEMAND_BUDGET`, and the entries of all demands
+together, K per demand, at 10 * `DEMAND_BUDGET`.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ConfigurationError, EncodingError, ResourceBudgetError
-from .field import FieldMatrix, FieldSpec, RowSpan
+from .field import FieldMatrix, FieldSpec
 
 Demand = tuple[int, ...]
 
@@ -127,14 +128,16 @@ def canonical_file_pattern(d: Demand) -> Demand:
 
 
 # Largest demand count a model instance may have.  Every demand gets its own
-# report entry, so this bounds the work and memory of `verify`.
+# report entry, so this and the cap of 10 * DEMAND_BUDGET entries over all
+# demands (K per demand) bound the work and memory of `verify`.
 DEMAND_BUDGET = 10 ** 6
 
 
 def demand_count(model: ModelKind, N: int, K: int, s: Optional[int] = None) -> int:
     """Check the model parameters; the number of demands, sum over z of C(K, z) * N^(K-z).
 
-    Raises ResourceBudgetError when it exceeds DEMAND_BUDGET.
+    Raises ResourceBudgetError when it exceeds DEMAND_BUDGET, or when the
+    demands hold more than 10 * DEMAND_BUDGET entries in all.
     """
     limit = math.log(DEMAND_BUDGET) + 1
     total = 0
@@ -147,6 +150,10 @@ def demand_count(model: ModelKind, N: int, K: int, s: Optional[int] = None) -> i
             raise ResourceBudgetError(
                 f"{model.value} model with N={N}, K={K}, s={s} has more than "
                 f"{DEMAND_BUDGET} demands")
+    if total * K > 10 * DEMAND_BUDGET:
+        raise ResourceBudgetError(
+            f"{model.value} model with N={N}, K={K}, s={s} has {total} demands of {K} "
+            f"entries, more than {10 * DEMAND_BUDGET} entries")
     return total
 
 
@@ -226,19 +233,18 @@ def _generators(r: int, N: int) -> list[tuple[int, ...]]:
                                (*fixed, *range(r + 1, N), r)]))
 
 
-def file_symmetric(placement: Sequence[FieldMatrix], spans: Sequence[RowSpan], N: int,
-                   L: int) -> bool:
+def file_symmetric(placement: Sequence[FieldMatrix], N: int, L: int) -> bool:
     """True when every user's cache row space is invariant under every file permutation.
 
-    spans[k] must span placement[k].  The transposition (1 2) and the
-    N-cycle generate S_N, so it suffices that each of them maps every cache
-    row back into its user's span.
+    The transposition (1 2) and the N-cycle generate S_N, so it suffices
+    that each of them maps every cache row back into its user's span, read
+    from the placement's cached echelon.
     """
     block = L * placement[0].spec.m
     generators = _generators(0, N)
     return all(
-        span.contains(move_files(image, perm, block))
-        for P, span in zip(placement, spans)
+        P._echelon.contains(move_files(image, perm, block))
+        for P in placement
         for perm in generators
         for image in P.images
     )
@@ -421,8 +427,7 @@ class OrbitScheme(_Placement):
                                      "of the model's demands")
         for d, per_sender in self.patterns.items():
             self._check_signals(d, per_sender)
-        if not file_symmetric(self.placement, [P._echelon for P in self.placement],
-                              self.N, self.L):
+        if not file_symmetric(self.placement, self.N, self.L):
             raise ConfigurationError("placement is not invariant under file relabelling")
         block = self.L * self.field.m
         for d, sent in self._pattern_images.items():

@@ -45,7 +45,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
-from .field import FieldMatrix, RowSpan
+from .field import RowSpan
 from .model import (
     Demand,
     ModelKind,
@@ -172,15 +172,10 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
     user_spans: Optional[dict[int, RowSpan]] = None
     symmetric = False
     if check_decodability:
-        user_spans = {}
-        placements = list(scheme.placement)
-        placement_full_rank = True
-        for k, P in enumerate(placements, start=1):
-            span = RowSpan(scheme.field, P.ncols)
-            span.add_matrix(P)
-            user_spans[k] = span
-            if span.rank != P.nrows:
-                placement_full_rank = False
+        # each placement's cached echelon is its user's span; a grown span is a copy
+        placements = scheme.placement
+        user_spans = {k: P._echelon for k, P in enumerate(placements, start=1)}
+        placement_full_rank = all(P._echelon.rank == P.nrows for P in placements)
         joint_recovery = True
         total = N * L
         for group in _recovery_groups(scheme):
@@ -190,8 +185,7 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
             if span.rank != total:
                 joint_recovery = False
                 break
-        symmetric = (not orbit_native and N > 1
-                     and file_symmetric(placements, list(user_spans.values()), N, L))
+        symmetric = not orbit_native and N > 1 and file_symmetric(placements, N, L)
 
     if orbit_native:
         demand_coverage = True
@@ -268,7 +262,8 @@ def _pattern_entries(scheme: OrbitScheme, demands: list[Demand],
             verdict = (None, ())
             if user_spans is not None:
                 verdict = _decide(scheme, user_spans, pattern,
-                                  scheme.transmitted_rows(pattern).values())
+                                  [image for mat in scheme.transmitted_rows(pattern).values()
+                                   for image in mat.images])
             known = by_pattern[pattern] = (*account(scheme.delivery_row_counts(pattern)),
                                            *verdict)
         entries.append(DemandReport(d, *known))
@@ -290,7 +285,7 @@ def _demand_entries(scheme, demands: list[Demand], covered: set[Demand],
         return [DemandReport(d, *account(scheme.delivery_row_counts(d)), None)
                 if d in covered else DemandReport(d, None, _NO_ROWS, None)
                 for d in demands], account.worst
-    N, cols = scheme.N, scheme.symbol_count
+    N = scheme.N
     block = scheme.L * scheme.field.m  # bits of one file in a binary image
     stride = N * block  # bits of one row
     products: dict[tuple, tuple[int, int]] = {}
@@ -316,8 +311,7 @@ def _demand_entries(scheme, demands: list[Demand], covered: set[Demand],
             if seen is not None:
                 verdict = _reused_verdict(seen, d, packed, count, N, block)
         if verdict is None:
-            sent = FieldMatrix(scheme.field, count, cols, tuple(_unpacked(packed, count, stride)))
-            verdict = _decide(scheme, user_spans, d, [sent])
+            verdict = _decide(scheme, user_spans, d, _unpacked(packed, count, stride))
             if orbits is not None:
                 orbits.setdefault(pattern, (d, packed, count, verdict))
         entries.append(DemandReport(d, *account(counts), *verdict))
@@ -343,11 +337,15 @@ def _unpacked(packed: int, count: int, stride: int) -> list[int]:
 
 
 def _decide(scheme, user_spans: dict[int, RowSpan], d: Demand,
-            sent: Iterable[FieldMatrix]) -> tuple[bool, tuple[int, ...]]:
-    """Full check of one demand: (every requester decodes, the requesters that fail)."""
+            sent: Iterable[int]) -> tuple[bool, tuple[int, ...]]:
+    """Full check of one demand: (every requester decodes, the requesters that fail).
+
+    sent holds the images of every transmitted row.  Each requester's span
+    is a copy of its cache span grown with the span of the sent rows.
+    """
     span_of_sent = RowSpan(scheme.field, scheme.symbol_count)
-    for mat in sent:
-        span_of_sent.add_matrix(mat)
+    for image in sent:
+        span_of_sent.add(image)
     failed = []
     for r in requesters_of(d):
         span = user_spans[r].copy()

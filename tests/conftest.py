@@ -198,10 +198,10 @@ def multiset_rule_entries(scheme, demands, covered, user_spans, symmetric):
         worst = max(worst, rate)
         verdict = (None, ())
         if user_spans is not None:
-            sent = scheme.transmitted_rows(d).values()
+            sent = [image for mat in scheme.transmitted_rows(d).values() for image in mat.images]
             verdict = None
             if orbits is not None:
-                images = sorted(image for mat in sent for image in mat.images)
+                images = sorted(sent)
                 pattern = canonical_file_pattern(d)
                 seen = orbits.get(pattern)
                 if seen is not None:

@@ -147,8 +147,8 @@ def test_prune_monotone_and_still_decodes(N):
             for r in real:
                 span = RowSpan(scheme.field, scheme.symbol_count)
                 span.add_matrix(scheme.placement[r - 1])
-                for row in pruned.symbol_rows:
-                    span.add(row)
+                span.add_matrix(FieldMatrix.from_rows(scheme.field, pruned.symbol_rows,
+                                                      scheme.symbol_count))
                 assert _file_decodable(span, N, scheme.L, demand[r - 1])
 
 

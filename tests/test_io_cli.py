@@ -168,6 +168,16 @@ def test_cli_refuses_more_demands_than_the_budget(tmp_path, capsys, args):
     assert len(err.splitlines()) == 1
 
 
+def test_cli_refuses_more_demand_entries_than_the_budget(capsys):
+    # 718,800 demands, under DEMAND_BUDGET, of 600 entries each
+    start = time.perf_counter()
+    assert main(["verify", "builtin:kuser/man", "--N", "2", "--K", "600", "--s", "598"]) == 1
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "entries" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cli_verify_rejects_deeply_nested_json(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000)

@@ -98,17 +98,22 @@ def test_patterns_are_the_canonical_patterns_of_the_demands(model, N, K, s):
 
 
 def test_demand_count_is_capped_before_enumeration():
-    # 10^6 demands exactly is allowed; one more user or file is not
+    # 10^6 demands exactly is allowed; one more user or file is not.  So are
+    # 10^7 entries over all demands, K per demand: 2^19 demands of 19 entries
+    # pass, while 179,400 and 718,800 demands of 300 and 600 entries do not.
     assert demand_count(ModelKind.TRADITIONAL_D2D, 10, 6, 0) == DEMAND_BUDGET
-    for model, N, K, s in [
-        (ModelKind.TRADITIONAL_D2D, 10, 7, 0),
-        (ModelKind.TRADITIONAL_D2D, 11, 6, 0),
-        (ModelKind.TRADITIONAL_D2D, 1000, 10, 0),
-        (ModelKind.K_USER_S_SENDERS, 1000, 20, 3),
-        (ModelKind.K_USER_S_SENDERS, 2, 10 ** 9, 3),
+    assert demand_count(ModelKind.TRADITIONAL_D2D, 2, 19, 0) == 2 ** 19
+    for model, N, K, s, what in [
+        (ModelKind.TRADITIONAL_D2D, 10, 7, 0, "demands"),
+        (ModelKind.TRADITIONAL_D2D, 11, 6, 0, "demands"),
+        (ModelKind.TRADITIONAL_D2D, 1000, 10, 0, "demands"),
+        (ModelKind.K_USER_S_SENDERS, 1000, 20, 3, "demands"),
+        (ModelKind.K_USER_S_SENDERS, 2, 10 ** 9, 3, "demands"),
+        (ModelKind.K_USER_S_SENDERS, 2, 300, 298, "entries"),
+        (ModelKind.K_USER_S_SENDERS, 2, 600, 598, "entries"),
     ]:
         for enumerate_ in (demand_count, enumerate_demands, enumerate_patterns):
-            with pytest.raises(ResourceBudgetError):
+            with pytest.raises(ResourceBudgetError, match=f"{what}$"):
                 enumerate_(model, N, K, s)
 
 

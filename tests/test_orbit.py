@@ -96,12 +96,7 @@ def assert_matches_oracle(scheme, report):
 
 
 def _placement_symmetric(scheme) -> bool:
-    placements = [scheme.placement[k - 1] for k in range(1, scheme.K + 1)]
-    spans = []
-    for P in placements:
-        spans.append(RowSpan(scheme.field, P.ncols))
-        spans[-1].add_matrix(P)
-    return file_symmetric(placements, spans, scheme.N, scheme.L)
+    return file_symmetric(scheme.placement, scheme.N, scheme.L)
 
 
 def _invariant_under_every_permutation(scheme) -> bool:
@@ -112,7 +107,7 @@ def _invariant_under_every_permutation(scheme) -> bool:
         for k in range(1, scheme.K + 1):
             span = RowSpan(scheme.field, scheme.symbol_count)
             span.add_matrix(scheme.placement[k - 1])
-            if not all(span.contains(row) for row in moved.placement[k - 1].rows):
+            if not all(span.contains(image) for image in moved.placement[k - 1].images):
                 return False
     return True
 
