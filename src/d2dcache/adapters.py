@@ -14,6 +14,7 @@ inputs one demand at a time, so no OrbitScheme's delivery is expanded.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -32,7 +33,7 @@ from .model import (
     senders_of,
     symbol_col,
 )
-from .verify import verify, _file_decodable
+from .verify import verify, _failing
 
 Probability = Union[Fraction, float]
 
@@ -195,14 +196,10 @@ def prune_signal(scheme: Scheme, demand: Demand,
             order.append((k, i))
             images[(k, i)] = image
 
+    verdicts = defaultdict(dict)
+
     def decodes(keys) -> bool:
-        for r in real:
-            span = scheme.placement[r - 1]._echelon.copy()
-            for key in keys:
-                span.add(images[key])
-            if not _file_decodable(span, scheme.N, scheme.L, demand[r - 1]):
-                return False
-        return True
+        return not _failing(scheme, verdicts, demand, real, [images[key] for key in keys])
 
     kept = list(order)
     if not decodes(kept):

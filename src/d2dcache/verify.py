@@ -35,11 +35,18 @@ pattern form one orbit, whose first demand is the pattern itself.
 Either way the cache spans, the transmitted span and the requested unit
 selectors all move under the same pi, so each requester decodes iff it
 did for the representative.
+
+Within one call, a full check decides each (requester, file, set of sent
+rows) once.  The verdict depends on nothing else, since the requester's
+placement and L are the scheme's, so it is kept in a dict that lives for
+the call and read back by every later check with the same key.  Only a
+miss builds the sent rows' span and grows a copy of the echelon.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -169,31 +176,31 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
 
     placement_full_rank: Optional[bool] = None
     joint_recovery: Optional[bool] = None
-    user_spans: Optional[dict[int, RowSpan]] = None
     symmetric = False
+    verdicts: Optional[_Verdicts] = None
     if check_decodability:
         # each placement's cached echelon is its user's span; a grown span is a copy
         placements = scheme.placement
-        user_spans = {k: P._echelon for k, P in enumerate(placements, start=1)}
         placement_full_rank = all(P._echelon.rank == P.nrows for P in placements)
         joint_recovery = True
         total = N * L
         for group in _recovery_groups(scheme):
-            span = user_spans[group[0]].copy()
+            span = placements[group[0] - 1]._echelon.copy()
             for k in group[1:]:
                 span.add_matrix(placements[k - 1])
             if span.rank != total:
                 joint_recovery = False
                 break
         symmetric = not orbit_native and N > 1 and file_symmetric(placements, N, L)
+        verdicts = defaultdict(dict)
 
     if orbit_native:
         demand_coverage = True
-        entries, worst = _pattern_entries(scheme, demands, user_spans)
+        entries, worst = _pattern_entries(scheme, demands, verdicts)
     else:
         covered = set(scheme.delivery_demands())
         demand_coverage = covered == set(demands)
-        entries, worst = _demand_entries(scheme, demands, covered, user_spans, symmetric)
+        entries, worst = _demand_entries(scheme, demands, covered, verdicts, symmetric)
 
     return VerificationReport(
         model=scheme.model,
@@ -244,9 +251,14 @@ class _Accounts:
 
 _NO_ROWS: Mapping[int, int] = MappingProxyType({})
 
+# one verify call's memo: (requester, file) -> sorted sent images -> decodes.
+# Requesters share each key tuple, which keeps the sent images of every
+# decided check alive until the call returns.
+_Verdicts = defaultdict[tuple[int, int], dict[tuple[int, ...], bool]]
+
 
 def _pattern_entries(scheme: OrbitScheme, demands: list[Demand],
-                     user_spans: Optional[dict[int, RowSpan]],
+                     verdicts: Optional[_Verdicts],
                      ) -> tuple[list[DemandReport], Fraction]:
     """Each demand's report from its pattern's row counts and verdict, and the worst rate.
 
@@ -260,8 +272,8 @@ def _pattern_entries(scheme: OrbitScheme, demands: list[Demand],
         known = by_pattern.get(pattern)
         if known is None:
             verdict = (None, ())
-            if user_spans is not None:
-                verdict = _decide(scheme, user_spans, pattern,
+            if verdicts is not None:
+                verdict = _decide(scheme, verdicts, pattern,
                                   [image for mat in scheme.transmitted_rows(pattern).values()
                                    for image in mat.images])
             known = by_pattern[pattern] = (*account(scheme.delivery_row_counts(pattern)),
@@ -271,8 +283,8 @@ def _pattern_entries(scheme: OrbitScheme, demands: list[Demand],
 
 
 def _demand_entries(scheme, demands: list[Demand], covered: set[Demand],
-                    user_spans: Optional[dict[int, RowSpan]],
-                    symmetric: bool) -> tuple[list[DemandReport], Fraction]:
+                    verdicts: Optional[_Verdicts], symmetric: bool,
+                    ) -> tuple[list[DemandReport], Fraction]:
     """Each demand's report from its own delivery, and the worst rate.
 
     Accounting alone reads only the row counts.  A full check multiplies out
@@ -281,7 +293,7 @@ def _demand_entries(scheme, demands: list[Demand], covered: set[Demand],
     when its rows are exactly the pattern's rows relabelled.
     """
     account = _Accounts(scheme.L)
-    if user_spans is None:
+    if verdicts is None:
         return [DemandReport(d, *account(scheme.delivery_row_counts(d)), None)
                 if d in covered else DemandReport(d, None, _NO_ROWS, None)
                 for d in demands], account.worst
@@ -311,7 +323,7 @@ def _demand_entries(scheme, demands: list[Demand], covered: set[Demand],
             if seen is not None:
                 verdict = _reused_verdict(seen, d, packed, count, N, block)
         if verdict is None:
-            verdict = _decide(scheme, user_spans, d, _unpacked(packed, count, stride))
+            verdict = _decide(scheme, verdicts, d, _unpacked(packed, count, stride))
             if orbits is not None:
                 orbits.setdefault(pattern, (d, packed, count, verdict))
         entries.append(DemandReport(d, *account(counts), *verdict))
@@ -336,23 +348,50 @@ def _unpacked(packed: int, count: int, stride: int) -> list[int]:
     return [packed >> i * stride & row for i in range(count)]
 
 
-def _decide(scheme, user_spans: dict[int, RowSpan], d: Demand,
+def _decide(scheme, verdicts: _Verdicts, d: Demand,
             sent: Iterable[int]) -> tuple[bool, tuple[int, ...]]:
     """Full check of one demand: (every requester decodes, the requesters that fail).
 
-    sent holds the images of every transmitted row.  Each requester's span
-    is a copy of its cache span grown with the span of the sent rows.
+    sent holds the images of every transmitted row; verdicts is the call's memo.
     """
-    span_of_sent = RowSpan(scheme.field, scheme.symbol_count)
-    for image in sent:
-        span_of_sent.add(image)
+    failed = _failing(scheme, verdicts, d, requesters_of(d), sent)
+    return not failed, failed
+
+
+def _failing(scheme, verdicts: _Verdicts, d: Demand, requesters: Iterable[int],
+             sent: Iterable[int]) -> tuple[int, ...]:
+    """The requesters that do not decode their file of d from the sent row images.
+
+    Within one scheme a verdict depends only on the requester, its file and
+    the set of sent rows, so it is kept in verdicts under (requester, file)
+    and the sorted images, one key tuple shared by every requester.  On a
+    miss the sent rows' span is built, once for all requesters, and joins a
+    copy of the requester's echelon (`_decodes`).
+    """
+    key = tuple(sorted(sent))
+    span_of_sent = None
     failed = []
-    for r in requesters_of(d):
-        span = user_spans[r].copy()
-        span.add_span(span_of_sent)
-        if not _file_decodable(span, scheme.N, scheme.L, d[r - 1]):
+    for r in requesters:
+        file_id = d[r - 1]
+        known = verdicts[r, file_id]
+        verdict = known.get(key)
+        if verdict is None:
+            if span_of_sent is None:
+                span_of_sent = RowSpan(scheme.field, scheme.symbol_count)
+                for image in key:
+                    span_of_sent.add(image)
+            verdict = known[key] = _decodes(scheme.placement[r - 1]._echelon, span_of_sent,
+                                            scheme.N, scheme.L, file_id)
+        if not verdict:
             failed.append(r)
-    return not failed, tuple(failed)
+    return tuple(failed)
+
+
+def _decodes(cache: RowSpan, sent: RowSpan, N: int, L: int, file_id: int) -> bool:
+    """The elimination: True when a copy of cache grown with sent holds the file."""
+    span = cache.copy()
+    span.add_span(sent)
+    return _file_decodable(span, N, L, file_id)
 
 
 def _reused_verdict(seen: tuple, d: Demand, packed: int, count: int, N: int,

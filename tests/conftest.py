@@ -19,6 +19,7 @@ from d2dcache.model import (
     enumerate_demands,
     file_relabelling,
     move_files,
+    requesters_of,
     senders_of,
     symbol_col,
     unit_image,
@@ -176,14 +177,30 @@ def explicit_kuser_mds(N, K, s):
     return LinearScheme(ModelKind.K_USER_S_SENDERS, N, K, s, L, spec, placement, delivery)
 
 
-def multiset_rule_entries(scheme, demands, covered, user_spans, symmetric):
+def unmemoized_decide(scheme, verdicts, d, sent):
+    """`verify._decide` with its verdict memo bypassed: an oracle.
+
+    verdicts is ignored.  Every requester's verdict comes from the
+    elimination (`verify._decodes`) on its placement's echelon and the span
+    of the sent rows.
+    """
+    span = RowSpan(scheme.field, scheme.symbol_count)
+    for image in sent:
+        span.add(image)
+    failed = tuple(r for r in requesters_of(d)
+                   if not verify_mod._decodes(scheme.placement[r - 1]._echelon, span,
+                                              scheme.N, scheme.L, d[r - 1]))
+    return not failed, failed
+
+
+def multiset_rule_entries(scheme, demands, covered, verdicts, symmetric):
     """`verify._demand_entries` as one product, sort and move per row: an oracle.
 
     Every demand is multiplied out on its own.  With a file-symmetric
     placement, a demand takes the first decided demand of its pattern's
     verdict when its sorted transmitted images equal that demand's images,
-    each moved by the relabelling, sorted; otherwise it is decided through
-    `verify._decide`, looked up at call time so a spy sees it.
+    each moved by the relabelling, sorted; otherwise it is decided by
+    `unmemoized_decide`, looked up at call time so a spy sees it.
     """
     orbits = {} if symmetric else None
     block = scheme.L * scheme.field.m
@@ -191,13 +208,13 @@ def multiset_rule_entries(scheme, demands, covered, user_spans, symmetric):
     worst = Fraction(0)
     for d in demands:
         if d not in covered:
-            entries.append(DemandReport(d, None, {}, False if user_spans is not None else None))
+            entries.append(DemandReport(d, None, {}, False if verdicts is not None else None))
             continue
         sender_rows = scheme.delivery_row_counts(d)
         rate = Fraction(sum(sender_rows.values()), scheme.L)
         worst = max(worst, rate)
         verdict = (None, ())
-        if user_spans is not None:
+        if verdicts is not None:
             sent = [image for mat in scheme.transmitted_rows(d).values() for image in mat.images]
             verdict = None
             if orbits is not None:
@@ -210,7 +227,7 @@ def multiset_rule_entries(scheme, demands, covered, user_spans, symmetric):
                     if images == sorted(move_files(i, perm, block) for i in rep_images):
                         verdict = rep_verdict
             if verdict is None:
-                verdict = verify_mod._decide(scheme, user_spans, d, sent)
+                verdict = unmemoized_decide(scheme, verdicts, d, sent)
                 if orbits is not None:
                     orbits.setdefault(pattern, (d, images, verdict))
         entries.append(DemandReport(d, rate, sender_rows, *verdict))

@@ -74,9 +74,9 @@ def decide_calls(monkeypatch):
     calls = []
     original = verify_mod._decide
 
-    def spy(scheme, user_spans, d, sent):
+    def spy(scheme, verdicts, d, sent):
         calls.append(d)
-        return original(scheme, user_spans, d, sent)
+        return original(scheme, verdicts, d, sent)
 
     monkeypatch.setattr(verify_mod, "_decide", spy)
     return calls

@@ -103,9 +103,9 @@ def _assert_verify_reads_only_patterns(scheme, monkeypatch):
         sent.append(d)
         return transmitted(self, d)
 
-    def spy_decide(scheme, user_spans, d, rows):
+    def spy_decide(scheme, verdicts, d, rows):
         decided.append(d)
-        return decide(scheme, user_spans, d, rows)
+        return decide(scheme, verdicts, d, rows)
 
     monkeypatch.setattr(OrbitScheme, "transmitted_rows", spy_sent)
     monkeypatch.setattr(verify_mod, "_decide", spy_decide)

@@ -11,6 +11,7 @@ import importlib
 
 import pytest
 
+import conftest
 from conftest import cached_2rr1s, cached_kuser, explicit_kuser_mds, multiset_rule_entries
 from d2dcache.adapters import rotate_2rr1s
 from d2dcache.catalog import CornerPointId
@@ -122,16 +123,22 @@ CASES = {
 
 
 def _verify(scheme, monkeypatch, demand_entries=None, **kwargs):
-    """(demands given the full check, in order; the report's JSON document)."""
-    decided = []
-    decide = verify_mod._decide
+    """(demands given the full check, in order; the report's JSON document).
 
-    def spy(scheme, user_spans, d, sent):
-        decided.append(d)
-        return decide(scheme, user_spans, d, sent)
+    A full check is a call of `verify._decide`, or of the oracle's
+    `conftest.unmemoized_decide`.
+    """
+    decided = []
+
+    def spy(decide):
+        def full_check(scheme, verdicts, d, sent):
+            decided.append(d)
+            return decide(scheme, verdicts, d, sent)
+        return full_check
 
     with monkeypatch.context() as patch:
-        patch.setattr(verify_mod, "_decide", spy)
+        patch.setattr(verify_mod, "_decide", spy(verify_mod._decide))
+        patch.setattr(conftest, "unmemoized_decide", spy(conftest.unmemoized_decide))
         if demand_entries is not None:
             patch.setattr(verify_mod, "_demand_entries", demand_entries)
         report = verify_mod.verify(scheme, **kwargs)
