@@ -46,28 +46,39 @@ def builtin_names() -> list[str]:
 
 def resolve_scheme(source: str, N: Optional[int] = None, K: Optional[int] = None,
                    s: Optional[int] = None) -> catalog.Scheme:
-    """Build a named builtin or load a scheme document from a file path."""
-    if source.startswith(BUILTIN_PREFIX):
-        name = source[len(BUILTIN_PREFIX):]
-        entry = _BUILTINS.get(name)
-        if entry is None:
-            raise InterchangeError(
-                f"unknown builtin {source!r}; available: {', '.join(builtin_names())}",
-                field="source",
-            )
-        builder, point = entry
-        if builder is catalog.build_kuser_scheme:
-            if N is None or K is None or s is None:
-                raise InterchangeError(f"{source} needs --N, --K and --s", field="source")
-            return builder(point, N, K, s)
-        if builder is catalog.build_traditional_scheme:
-            return builder(point, 2 if N is None else N)
-        if point is catalog.CornerPointId.N2_SEVEN_EIGHTHS:
-            return builder(point, 2 if N is None else N)
-        if N is None:
-            raise InterchangeError(f"{source} needs --N", field="source")
-        return builder(point, N)
-    return load_scheme_file(source)
+    """Build a named builtin or load a scheme document from a file path.
+
+    Each of N, K and s that is given must equal the resolved scheme's own.
+    """
+    scheme = _builtin(source, N, K, s) if source.startswith(BUILTIN_PREFIX) \
+        else load_scheme_file(source)
+    for name, given, own in (("N", N, scheme.N), ("K", K, scheme.K), ("s", s, scheme.s)):
+        if given is not None and given != own:
+            raise InterchangeError(f"{source} has {name}={own}, not --{name} {given}")
+    return scheme
+
+
+def _builtin(source: str, N: Optional[int], K: Optional[int],
+             s: Optional[int]) -> catalog.Scheme:
+    """The named builtin, built at the given sizes where it takes them."""
+    name = source[len(BUILTIN_PREFIX):]
+    entry = _BUILTINS.get(name)
+    if entry is None:
+        raise InterchangeError(
+            f"unknown builtin {source!r}; available: {', '.join(builtin_names())}",
+            field="source",
+        )
+    builder, point = entry
+    if builder is catalog.build_kuser_scheme:
+        if N is None or K is None or s is None:
+            raise InterchangeError(f"{source} needs --N, --K and --s", field="source")
+        return builder(point, N, K, s)
+    if (builder is catalog.build_traditional_scheme
+            or point is catalog.CornerPointId.N2_SEVEN_EIGHTHS):
+        return builder(point, 2 if N is None else N)
+    if N is None:
+        raise InterchangeError(f"{source} needs --N", field="source")
+    return builder(point, N)
 
 
 def scheme_to_dict(scheme: catalog.Scheme) -> dict:

@@ -6,41 +6,28 @@ of its own cache stacked with all transmitted rows.  Rates count
 transmitted rows (duplicates included) divided by the subpacketization,
 for every demand.
 
-Demands are decided once per file-relabelling orbit when the placement
-allows it.  A file permutation pi moves symbol (n, l) to (pi(n), l).  If
-every user's cache row space is invariant under the transposition (1 2)
-and the N-cycle, which generate S_N, it is invariant under every pi
-(`model.file_symmetric`).  Demands with the same first-appearance file
-pattern form one orbit, whose first demand is the pattern itself.
+Each demand d is decided in its frame: its first-appearance file pattern
+when the placement is file-symmetric (`model.file_symmetric`: every cache
+row space is fixed by the transposition (1 2) and the N-cycle, hence by
+all of S_N; an OrbitScheme passed that test when it was built), and d
+itself otherwise.  A file permutation pi with pi(d) = frame
+(`file_relabelling`) fixes every cache span and maps d's requested unit
+selectors onto the frame's, so a requester decodes d from its rows iff it
+decodes the frame from their pi-images.
 
-- An OrbitScheme passed that test when it was built, and the delivery of
-  d = pi(pattern), raw rows included, is the pattern's delivery moved by
-  pi by definition.  So only the patterns are multiplied out and decided,
-  and every demand takes its pattern's row counts and verdict.
-- An explicit scheme's pattern gets the full check.  A later demand
-  d = pi(rep) reuses that verdict only when its transmitted rows, as a
-  multiset, are exactly the pi-images of the representative's.  Any other
-  demand, and every demand of a scheme that fails the invariance test,
-  gets the full check.
+Within one call each distinct (sender, encoding, raw rows) is multiplied
+out once (`SenderSignal.sent`) into one int that holds its rows at a
+stride of N*L*m bits.  A demand's rows are its senders' ints
+concatenated, moved onto the frame by one masked shift per file block
+(`_moved`), and every demand with the same (frame, moved rows, row count)
+takes one verdict.  An OrbitScheme's rows of d are its pattern's rows
+moved, by definition, so only its patterns are multiplied out and decided.
 
-  Within one call, each distinct (sender, encoding, raw rows) is
-  multiplied out once (`SenderSignal.sent`) and kept as one packed int, its rows at a stride of N*L*m bits, and a
-  demand's rows are its senders' packed ints concatenated.  The reuse test
-  first moves the representative's packed rows by pi (one masked shift per
-  file block, for all rows at once) and compares them with d's: equal ints
-  of equal row count are equal rows in order, hence as a multiset.  Only
-  when they differ are both row lists sorted and compared.  So verdicts are
-  reused on exactly the demands the multiset rule allows.
-
-Either way the cache spans, the transmitted span and the requested unit
-selectors all move under the same pi, so each requester decodes iff it
-did for the representative.
-
-Within one call, a full check decides each (requester, file, set of sent
-rows) once.  The verdict depends on nothing else, since the requester's
-placement and L are the scheme's, so it is kept in a dict that lives for
-the call and read back by every later check with the same key.  Only a
-miss builds the sent rows' span and grows a copy of the echelon.
+A full check decides each (requester, file, set of sent rows) once per
+call: the verdict depends on nothing else, since the placement and L are
+the scheme's.  The memo is keyed by the sorted sent images, so rows that
+a demand lists in another order build no span.  Only a miss builds the
+sent rows' span and grows a copy of the requester's echelon.
 """
 
 from __future__ import annotations
@@ -171,12 +158,15 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
     N, K, L = scheme.N, scheme.K, scheme.L
     demands = enumerate_demands(scheme.model, N, K, scheme.s)
     orbit_native = isinstance(scheme, OrbitScheme)
+    # an OrbitScheme covers every demand by construction
+    covered = None if orbit_native else set(scheme.delivery_demands())
+    demand_coverage = covered is None or covered == set(demands)
 
     memory = tuple(Fraction(scheme.placement_rows(k), L) for k in range(1, K + 1))
 
     placement_full_rank: Optional[bool] = None
     joint_recovery: Optional[bool] = None
-    symmetric = False
+    symmetric = orbit_native
     verdicts: Optional[_Verdicts] = None
     if check_decodability:
         # each placement's cached echelon is its user's span; a grown span is a copy
@@ -191,17 +181,10 @@ def verify(scheme, *, check_decodability: bool = True) -> VerificationReport:
             if span.rank != total:
                 joint_recovery = False
                 break
-        symmetric = not orbit_native and N > 1 and file_symmetric(placements, N, L)
+        symmetric = orbit_native or N > 1 and file_symmetric(placements, N, L)
         verdicts = defaultdict(dict)
 
-    if orbit_native:
-        demand_coverage = True
-        entries, worst = _pattern_entries(scheme, demands, verdicts)
-    else:
-        covered = set(scheme.delivery_demands())
-        demand_coverage = covered == set(demands)
-        entries, worst = _demand_entries(scheme, demands, covered, verdicts, symmetric)
-
+    entries, worst = _entries(scheme, demands, covered, verdicts, symmetric)
     return VerificationReport(
         model=scheme.model,
         N=N,
@@ -257,76 +240,55 @@ _NO_ROWS: Mapping[int, int] = MappingProxyType({})
 _Verdicts = defaultdict[tuple[int, int], dict[tuple[int, ...], bool]]
 
 
-def _pattern_entries(scheme: OrbitScheme, demands: list[Demand],
-                     verdicts: Optional[_Verdicts],
-                     ) -> tuple[list[DemandReport], Fraction]:
-    """Each demand's report from its pattern's row counts and verdict, and the worst rate.
+def _entries(scheme, demands: list[Demand], covered: Optional[set[Demand]],
+             verdicts: Optional[_Verdicts], symmetric: bool,
+             ) -> tuple[list[DemandReport], Fraction]:
+    """Each demand's report, and the worst rate.
 
-    Only patterns are multiplied out and decided, each once.
+    covered is None when every demand has a delivery.  A demand is decided in
+    its frame, its pattern when symmetric; accounting alone reads row counts.
     """
-    account = _Accounts(scheme.L)
-    by_pattern: dict[Demand, tuple] = {}
-    entries = []
-    for d in demands:
-        pattern = canonical_file_pattern(d)
-        known = by_pattern.get(pattern)
-        if known is None:
-            verdict = (None, ())
-            if verdicts is not None:
-                verdict = _decide(scheme, verdicts, pattern,
-                                  [image for mat in scheme.transmitted_rows(pattern).values()
-                                   for image in mat.images])
-            known = by_pattern[pattern] = (*account(scheme.delivery_row_counts(pattern)),
-                                           *verdict)
-        entries.append(DemandReport(d, *known))
-    return entries, account.worst
-
-
-def _demand_entries(scheme, demands: list[Demand], covered: set[Demand],
-                    verdicts: Optional[_Verdicts], symmetric: bool,
-                    ) -> tuple[list[DemandReport], Fraction]:
-    """Each demand's report from its own delivery, and the worst rate.
-
-    Accounting alone reads only the row counts.  A full check multiplies out
-    each distinct (sender, encoding) once, into packed rows (`_packed_rows`).
-    With a file-symmetric placement, a demand reuses its pattern's verdict
-    when its rows are exactly the pattern's rows relabelled.
-    """
-    account = _Accounts(scheme.L)
-    if verdicts is None:
-        return [DemandReport(d, *account(scheme.delivery_row_counts(d)), None)
-                if d in covered else DemandReport(d, None, _NO_ROWS, None)
-                for d in demands], account.worst
-    N = scheme.N
     block = scheme.L * scheme.field.m  # bits of one file in a binary image
-    stride = N * block  # bits of one row
+    stride = scheme.N * block  # bits of one row
+    orbit_native = isinstance(scheme, OrbitScheme)
+    account = _Accounts(scheme.L)
     products: dict[tuple, tuple[int, int]] = {}
-    orbits: Optional[dict[Demand, tuple]] = {} if symmetric else None
+    decided: dict[tuple, tuple[bool, tuple[int, ...]]] = {}
+    by_pattern: dict[Demand, tuple] = {}  # an OrbitScheme's entry per pattern
     entries = []
     for d in demands:
-        if d not in covered:
-            entries.append(DemandReport(d, None, _NO_ROWS, False))
+        if covered is not None and d not in covered:
+            entries.append(DemandReport(d, None, _NO_ROWS, None if verdicts is None else False))
             continue
-        packed, count, counts = 0, 0, {}
-        for k, sig in scheme.signals(d).items():
-            key = (k, sig.matrix.images, sig.raw_images)
-            product = products.get(key)
-            if product is None:
-                product = products[key] = _packed_rows(scheme, k, sig, stride)
-            packed |= product[0] << count * stride
-            count += product[1]
-            counts[k] = product[1]
-        verdict = None
-        if orbits is not None:
-            pattern = canonical_file_pattern(d)
-            seen = orbits.get(pattern)
-            if seen is not None:
-                verdict = _reused_verdict(seen, d, packed, count, N, block)
-        if verdict is None:
-            verdict = _decide(scheme, verdicts, d, _unpacked(packed, count, stride))
-            if orbits is not None:
-                orbits.setdefault(pattern, (d, packed, count, verdict))
-        entries.append(DemandReport(d, *account(counts), *verdict))
+        frame = canonical_file_pattern(d) if symmetric else d
+        entry = by_pattern.get(frame)
+        if entry is None:
+            # an OrbitScheme's rows of d are its pattern's rows moved onto d
+            source = frame if orbit_native else d
+            if verdicts is None:
+                entry = (*account(scheme.delivery_row_counts(source)), None)
+            else:
+                packed, count, counts = 0, 0, {}
+                for k, sig in scheme.signals(source).items():
+                    key = (k, sig.matrix.images, sig.raw_images)
+                    product = products.get(key)
+                    if product is None:
+                        product = products[key] = _packed_rows(scheme, k, sig, stride)
+                    packed |= product[0] << count * stride
+                    count += product[1]
+                    counts[k] = product[1]
+                if source != frame:
+                    packed = _moved(packed, count, file_relabelling(d, frame, scheme.N), block)
+                key = (frame, packed, count)
+                verdict = decided.get(key)
+                if verdict is None:
+                    verdict = _decide(scheme, verdicts, frame, _unpacked(packed, count, stride))
+                    if symmetric:
+                        decided[key] = verdict
+                entry = (*account(counts), *verdict)
+            if orbit_native:
+                by_pattern[frame] = entry
+        entries.append(DemandReport(d, *entry))
     return entries, account.worst
 
 
@@ -394,29 +356,16 @@ def _decodes(cache: RowSpan, sent: RowSpan, N: int, L: int, file_id: int) -> boo
     return _file_decodable(span, N, L, file_id)
 
 
-def _reused_verdict(seen: tuple, d: Demand, packed: int, count: int, N: int,
-                    block: int) -> Optional[tuple[bool, tuple[int, ...]]]:
-    """The orbit representative's verdict, if d's rows are exactly its rows relabelled.
-
-    None when the row multisets differ.  The representative's packed rows are
-    moved by pi block by block; only when that differs from d's packed rows,
-    as a row order may, are both row lists sorted and compared.
-    """
-    rep, rep_packed, rep_count, verdict = seen
-    if count != rep_count:
-        return None
-    stride = N * block
+def _moved(packed: int, count: int, perm: list[int], block: int) -> int:
+    """count packed rows, file n's block moved to block perm[n] (0-based) by one shift per file."""
+    stride = len(perm) * block
     # file 0's block in every row
     lanes = ((1 << count * stride) - 1) // ((1 << stride) - 1) * ((1 << block) - 1)
     moved = 0
-    for n, p in enumerate(file_relabelling(rep, d, N)):
-        part = rep_packed & lanes << n * block
+    for n, p in enumerate(perm):
+        part = packed & lanes << n * block
         moved |= part << (p - n) * block if p >= n else part >> (n - p) * block
-    if moved == packed:
-        return verdict
-    if sorted(_unpacked(moved, count, stride)) == sorted(_unpacked(packed, count, stride)):
-        return verdict
-    return None
+    return moved
 
 
 def _file_decodable(span: RowSpan, N: int, L: int, file_id: int) -> bool:

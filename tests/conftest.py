@@ -1,4 +1,5 @@
 import importlib
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,12 @@ def placement_with_file_one_reversed(scheme):
     return tuple(P.map_columns(col_map, N * L) for P in scheme.placement)
 
 
+def with_file_one_reversed(scheme) -> LinearScheme:
+    """The scheme with `placement_with_file_one_reversed` and the same delivery."""
+    return LinearScheme(scheme.model, scheme.N, scheme.K, scheme.s, scheme.L, scheme.field,
+                        placement_with_file_one_reversed(scheme), scheme.delivery)
+
+
 def rational_grid(lo, hi, step):
     """lo, lo+step, ... up to hi, with hi always the last point."""
     lo, hi, step = Fraction(lo), Fraction(hi), Fraction(step)
@@ -193,21 +200,22 @@ def unmemoized_decide(scheme, verdicts, d, sent):
     return not failed, failed
 
 
-def multiset_rule_entries(scheme, demands, covered, verdicts, symmetric):
-    """`verify._demand_entries` as one product, sort and move per row: an oracle.
+def frame_rule_entries(scheme, demands, covered, verdicts, symmetric):
+    """`verify._entries` for an explicit scheme, one product and move per row: an oracle.
 
-    Every demand is multiplied out on its own.  With a file-symmetric
-    placement, a demand takes the first decided demand of its pattern's
-    verdict when its sorted transmitted images equal that demand's images,
-    each moved by the relabelling, sorted; otherwise it is decided by
-    `unmemoized_decide`, looked up at call time so a spy sees it.
+    Every demand is multiplied out on its own.  Its frame is its file
+    pattern when symmetric, else itself, and each transmitted image is
+    moved onto the frame by `move_files`.  The first demand with a given
+    frame and moved images, in order, is decided by `unmemoized_decide`,
+    looked up at call time so a spy sees it, and every later one takes
+    that verdict.
     """
-    orbits = {} if symmetric else None
     block = scheme.L * scheme.field.m
+    decided = {}
     entries = []
     worst = Fraction(0)
     for d in demands:
-        if d not in covered:
+        if covered is not None and d not in covered:
             entries.append(DemandReport(d, None, {}, False if verdicts is not None else None))
             continue
         sender_rows = scheme.delivery_row_counts(d)
@@ -215,20 +223,64 @@ def multiset_rule_entries(scheme, demands, covered, verdicts, symmetric):
         worst = max(worst, rate)
         verdict = (None, ())
         if verdicts is not None:
-            sent = [image for mat in scheme.transmitted_rows(d).values() for image in mat.images]
-            verdict = None
-            if orbits is not None:
-                images = sorted(sent)
-                pattern = canonical_file_pattern(d)
-                seen = orbits.get(pattern)
-                if seen is not None:
-                    rep, rep_images, rep_verdict = seen
-                    perm = file_relabelling(rep, d, scheme.N)
-                    if images == sorted(move_files(i, perm, block) for i in rep_images):
-                        verdict = rep_verdict
-            if verdict is None:
-                verdict = unmemoized_decide(scheme, verdicts, d, sent)
-                if orbits is not None:
-                    orbits.setdefault(pattern, (d, images, verdict))
+            frame = canonical_file_pattern(d) if symmetric else d
+            perm = file_relabelling(d, frame, scheme.N)
+            moved = tuple(move_files(image, perm, block)
+                          for mat in scheme.transmitted_rows(d).values() for image in mat.images)
+            if (frame, moved) not in decided:
+                decided[frame, moved] = unmemoized_decide(scheme, verdicts, frame, moved)
+            verdict = decided[frame, moved]
         entries.append(DemandReport(d, rate, sender_rows, *verdict))
     return entries, worst
+
+
+@dataclass
+class FullChecks:
+    """What `verify` decided while the `full_checks` fixture was active.
+
+    A full check is a call of `verify._decide` or of the oracle
+    `unmemoized_decide`.  Each is recorded as (frame, sorted sent images,
+    RowSpans built during the check).
+    """
+
+    checks: list = field(default_factory=list)
+    spans: int = 0  # every RowSpan built, inside a full check or not
+
+    @property
+    def frames(self) -> list:
+        """The demand each full check decided, in order."""
+        return [frame for frame, _, _ in self.checks]
+
+    @property
+    def check_spans(self) -> int:
+        """The RowSpans the full checks built."""
+        return sum(spans for _, _, spans in self.checks)
+
+    def clear(self) -> None:
+        self.checks.clear()
+        self.spans = 0
+
+
+@pytest.fixture
+def full_checks(monkeypatch):
+    """Record every full check and every RowSpan construction of the test."""
+    record = FullChecks()
+    init = RowSpan.__init__
+
+    def spy_init(span, *args):
+        record.spans += 1
+        init(span, *args)
+
+    def spy(decide):
+        def full_check(scheme, verdicts, frame, sent):
+            sent = list(sent)
+            before = record.spans
+            verdict = decide(scheme, verdicts, frame, sent)
+            record.checks.append((frame, tuple(sorted(sent)), record.spans - before))
+            return verdict
+        return full_check
+
+    monkeypatch.setattr(RowSpan, "__init__", spy_init)
+    monkeypatch.setattr(verify_mod, "_decide", spy(verify_mod._decide))
+    monkeypatch.setitem(globals(), "unmemoized_decide", spy(unmemoized_decide))
+    return record

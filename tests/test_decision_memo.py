@@ -2,9 +2,11 @@
 
 `verify` keeps every requester verdict in a memo that lives for the call.
 Each report here must equal the one computed with the memo bypassed
-(`conftest.unmemoized_decide`): for every catalog base, every 2rr1s
-rotation and adaptation, one share, and a broken copy of each that keeps
-the base's placement objects.  A full check builds the span of its sent
+(`conftest.unmemoized_decide`), with and without the decodability check:
+for every catalog base, every 2rr1s rotation and adaptation, one share, a
+loaded export, a file permutation, explicit copies (one whose placement
+fails the invariance test), and a broken copy of each that keeps the
+base's placement objects.  A full check builds the span of its sent
 rows exactly when one of its requesters' checks is new to the call, so a
 second call, or a broken copy verified after its base, reuses nothing.
 """
@@ -20,20 +22,24 @@ from conftest import (
     cached_2rr1s,
     cached_kuser,
     cached_traditional,
+    explicit_kuser_mds,
     unmemoized_decide,
     verify_mod,
+    with_file_one_reversed,
 )
 from d2dcache.adapters import adapt_request_random, rotate_2rr1s
 from d2dcache.catalog import CornerPointId
-from d2dcache.field import GF2, FieldMatrix, RowSpan
+from d2dcache.field import GF2, FieldMatrix
+from d2dcache.io import dump_scheme, load_scheme_text
 from d2dcache.model import (
     LinearScheme,
     SenderSignal,
     canonical_file_pattern,
     enumerate_demands,
+    permute_scheme,
     requesters_of,
 )
-from d2dcache.sharing import memory_share
+from d2dcache.sharing import memory_share, symmetrize
 
 
 def _bases():
@@ -56,7 +62,17 @@ SCHEMES = {
     "half-rate/man-2-3 share N=3": lambda: memory_share(
         cached_2rr1s(CornerPointId.HALF_RATE, 3), cached_2rr1s(CornerPointId.MAN_TWO_THIRDS, 3),
         Fraction(2, 5)),
+    "loaded kuser/man 3,5,2 export": lambda: load_scheme_text(
+        dump_scheme(cached_kuser(CornerPointId.KU_MAN, 3, 5, 2))),
+    "permute_scheme(half-rate N=3)": lambda: permute_scheme(
+        cached_2rr1s(CornerPointId.HALF_RATE, 3), (2, 3, 1), (3, 1, 2)),
+    "explicit kuser/mds 4,5,2": lambda: explicit_kuser_mds(4, 5, 2),
+    "half-rate N=3, file 1 reversed": lambda: with_file_one_reversed(
+        cached_2rr1s(CornerPointId.HALF_RATE, 3)),
+    "symmetrize(half-rate N=2), explicit": lambda: symmetrize(
+        cached_2rr1s(CornerPointId.HALF_RATE, 2)).to_explicit(),
 }
+
 
 
 def _emptied(scheme):
@@ -78,32 +94,17 @@ def _emptied(scheme):
     return broken
 
 
-def _spied(scheme, monkeypatch):
-    """(report JSON; per full check: demand, sorted sent images, RowSpans it built)."""
-    inits, checks = [], []
-    init, decide = RowSpan.__init__, verify_mod._decide
-
-    def spy_init(self, *args):
-        inits.append(args)
-        init(self, *args)
-
-    def spy_decide(scheme, verdicts, d, sent):
-        before = len(inits)
-        verdict = decide(scheme, verdicts, d, sent)
-        checks.append((d, tuple(sorted(sent)), len(inits) - before))
-        return verdict
-
-    with monkeypatch.context() as patch:
-        patch.setattr(RowSpan, "__init__", spy_init)
-        patch.setattr(verify_mod, "_decide", spy_decide)
-        doc = verify_mod.verify(scheme).to_json_dict()
-    return doc, checks
+def _spied(scheme, full_checks):
+    """(report JSON; per full check: frame, sorted sent images, RowSpans it built)."""
+    full_checks.clear()
+    doc = verify_mod.verify(scheme).to_json_dict()
+    return doc, list(full_checks.checks)
 
 
-def _unmemoized(scheme, monkeypatch):
+def _unmemoized(scheme, monkeypatch, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(verify_mod, "_decide", unmemoized_decide)
-        return verify_mod.verify(scheme).to_json_dict()
+        return verify_mod.verify(scheme, **kwargs).to_json_dict()
 
 
 def _assert_one_span_per_new_check(checks):
@@ -117,17 +118,19 @@ def _assert_one_span_per_new_check(checks):
 
 
 @pytest.mark.parametrize("label", list(SCHEMES))
-def test_memoized_verdicts_equal_fresh_eliminations(label, monkeypatch):
+def test_memoized_verdicts_equal_fresh_eliminations(label, monkeypatch, full_checks):
     scheme = SCHEMES[label]()
-    first, checks = _spied(scheme, monkeypatch)
+    first, checks = _spied(scheme, full_checks)
     assert first == _unmemoized(scheme, monkeypatch)
+    assert (verify_mod.verify(scheme, check_decodability=False).to_json_dict()
+            == _unmemoized(scheme, monkeypatch, check_decodability=False))
     _assert_one_span_per_new_check(checks)
-    again, checks_again = _spied(scheme, monkeypatch)
+    again, checks_again = _spied(scheme, full_checks)
     assert (again, checks_again) == (first, checks)
 
     # the base's verdicts do not reach a copy that shares its placements
     broken = _emptied(scheme)
-    doc, checks = _spied(broken, monkeypatch)
+    doc, checks = _spied(broken, full_checks)
     assert doc == _unmemoized(broken, monkeypatch)
     _assert_one_span_per_new_check(checks)
 

@@ -330,6 +330,30 @@ def test_cli_verify_kuser(capsys):
     assert out["memory"] == ["4/3"] * 5
 
 
+@pytest.mark.parametrize("source,flags,message", [
+    ("builtin:2rr1s/full", ["--N", "3", "--K", "7", "--s", "4"], "has K=3, not --K 7"),
+    ("builtin:2rr1s/n2-7-8", ["--s", "2"], "has s=1, not --s 2"),
+    ("builtin:trad/coded-1-1", ["--K", "2"], "has K=3, not --K 2"),
+    ("n2.json", ["--N", "5", "--K", "9"], "has N=2, not --N 5"),
+])
+def test_cli_refuses_sizes_the_scheme_does_not_have(source, flags, message, tmp_path, capsys):
+    if not source.startswith("builtin:"):
+        source = str(tmp_path / source)
+        assert main(["export", "builtin:2rr1s/n2-7-8", "--out", source]) == 0
+    for command in ("verify", "export"):
+        assert main([command, source, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_cli_accepts_sizes_the_scheme_has(tmp_path, capsys):
+    assert main(["verify", "builtin:2rr1s/n2-7-8", "--N", "2", "--K", "3", "--s", "1"]) == 0
+    path = str(tmp_path / "n2.json")
+    assert main(["export", "builtin:2rr1s/n2-7-8", "--out", path]) == 0
+    assert main(["verify", path, "--N", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_unknown_builtin_is_usage_error(capsys):
     assert main(["verify", "builtin:nope"]) == 1
     assert "unknown builtin" in capsys.readouterr().err

@@ -14,7 +14,6 @@ import pytest
 from conftest import cached_2rr1s, cached_kuser, verify_mod
 from d2dcache.adapters import adapt_request_random, prune_signal, rotate_2rr1s
 from d2dcache.catalog import CornerPointId
-from d2dcache.field import RowSpan
 from d2dcache.model import OrbitScheme, enumerate_demands, enumerate_patterns, requesters_of
 from d2dcache.sharing import memory_share
 
@@ -28,25 +27,13 @@ SCHEMES = {
 
 
 @pytest.mark.parametrize("label", list(SCHEMES))
-def test_verify_makes_one_span_per_full_check(label, monkeypatch):
+def test_verify_makes_one_span_per_full_check(label, full_checks):
     scheme = SCHEMES[label]()
     assert isinstance(scheme, OrbitScheme)
-    inits, decided = [], []
-    init, decide = RowSpan.__init__, verify_mod._decide
-
-    def spy_init(self, *args):
-        inits.append(args)
-        init(self, *args)
-
-    def spy_decide(*args):
-        decided.append(args[2])
-        return decide(*args)
-
-    monkeypatch.setattr(RowSpan, "__init__", spy_init)
-    monkeypatch.setattr(verify_mod, "_decide", spy_decide)
+    full_checks.clear()
     assert verify_mod.verify(scheme).passed
-    assert decided == enumerate_patterns(scheme.model, scheme.N, scheme.K, scheme.s)
-    assert len(inits) == len(decided)
+    assert full_checks.frames == enumerate_patterns(scheme.model, scheme.N, scheme.K, scheme.s)
+    assert full_checks.spans == len(full_checks.frames)
 
 
 def _pivots(schemes):

@@ -17,7 +17,7 @@ from conftest import (
     cached_kuser,
     cached_traditional,
     decodes_demand,
-    placement_with_file_one_reversed,
+    with_file_one_reversed,
     xor_rows,
 )
 from d2dcache.adapters import adapt_request_random, rotate_2rr1s
@@ -68,20 +68,6 @@ def _transformed_schemes():
     return out
 
 
-@pytest.fixture
-def decide_calls(monkeypatch):
-    """The demands verify gave a full check, in order."""
-    calls = []
-    original = verify_mod._decide
-
-    def spy(scheme, verdicts, d, sent):
-        calls.append(d)
-        return original(scheme, verdicts, d, sent)
-
-    monkeypatch.setattr(verify_mod, "_decide", spy)
-    return calls
-
-
 def assert_matches_oracle(scheme, report):
     for entry in report.demands:
         d = entry.demand
@@ -112,11 +98,6 @@ def _invariant_under_every_permutation(scheme) -> bool:
     return True
 
 
-def _with_file_one_reversed(scheme) -> LinearScheme:
-    return LinearScheme(scheme.model, scheme.N, scheme.K, scheme.s, scheme.L, scheme.field,
-                        placement_with_file_one_reversed(scheme), scheme.delivery)
-
-
 def _placement_only(field, row) -> LinearScheme:
     """N = 3, L = 1: every user caches the one given row; no delivery."""
     cache = FieldMatrix.from_rows(field, [row])
@@ -139,7 +120,7 @@ SYMMETRY_CASES = [
     ("trad/coded-1-1", cached_traditional()),
     ("ku-mds/3,4,1", cached_kuser(CornerPointId.KU_MDS, 3, 4, 1)),
     ("ku-man/3,4,1", cached_kuser(CornerPointId.KU_MAN, 3, 4, 1)),
-    *((f"{point.value}/N={N} file 1 reversed", _with_file_one_reversed(cached_2rr1s(point, N)))
+    *((f"{point.value}/N={N} file 1 reversed", with_file_one_reversed(cached_2rr1s(point, N)))
       for point in (CornerPointId.HALF_RATE, CornerPointId.MAN_TWO_THIRDS) for N in (2, 3)),
     # fixed by the transposition (1 2) only, and by the 3-cycle only (w = 2 in GF(4))
     ("file 3 alone", _placement_only(GF2, (0, 0, 1))),
@@ -152,13 +133,15 @@ def _ids(cases):
 
 
 @pytest.mark.parametrize("label,scheme", CATALOG, ids=_ids(CATALOG))
-def test_catalog_verdicts_match_oracle_with_one_full_check_per_orbit(label, scheme, decide_calls):
+def test_catalog_verdicts_match_oracle_with_one_full_check_per_orbit(label, scheme, full_checks):
     report = verify(scheme)
     assert report.passed, label
     assert_matches_oracle(scheme, report)
-    # every catalog delivery is equivariant, so only representatives are checked in full
+    # every catalog delivery is equivariant: each demand is decided in its
+    # pattern's frame, and each orbit builds at most one span
     patterns = {canonical_file_pattern(d) for d in scheme.delivery}
-    assert len(decide_calls) == len(patterns), label
+    assert set(full_checks.frames) == patterns, label
+    assert full_checks.check_spans <= len(patterns), label
 
 
 @pytest.mark.parametrize("label,scheme", TRANSFORMED, ids=_ids(TRANSFORMED))
@@ -188,18 +171,19 @@ def test_half_rate_chain_rows_span_a_file_symmetric_space():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("N", [2, 3])
-def test_scheme_failing_the_invariance_test_checks_every_demand(N, decide_calls):
+def test_scheme_failing_the_invariance_test_checks_every_demand(N, full_checks):
     base = cached_2rr1s(CornerPointId.HALF_RATE, N)
-    scheme = _with_file_one_reversed(base)
+    scheme = with_file_one_reversed(base)
     assert not _placement_symmetric(scheme)
+    full_checks.clear()
     report = verify(scheme)
-    assert decide_calls == sorted(scheme.delivery)
+    assert full_checks.frames == sorted(scheme.delivery)
     assert report == verify(base)
     assert_matches_oracle(scheme, report)
 
 
 @pytest.mark.parametrize("how", ["rows removed", "key removed"])
-def test_representative_without_delivery_fails_alone(how, decide_calls):
+def test_representative_without_delivery_fails_alone(how, full_checks):
     scheme = cached_kuser(CornerPointId.KU_MAN, 4, 5, 2)
     valid = verify(scheme)
     # the first demand of an orbit in enumeration order is its representative
@@ -211,7 +195,7 @@ def test_representative_without_delivery_fails_alone(how, decide_calls):
     else:
         del delivery[rep]
     broken = _replace(scheme, delivery)
-    decide_calls.clear()
+    full_checks.clear()
     report = verify(broken)
     assert_matches_oracle(broken, report)
     for before, after in zip(valid.demands, report.demands):
@@ -219,13 +203,13 @@ def test_representative_without_delivery_fails_alone(how, decide_calls):
             assert after.decodable is False
         else:
             assert after == before
-    if how == "rows removed":
-        # the other members of that orbit no longer match the representative
-        orbit = [d for d in broken.delivery if canonical_file_pattern(d) == (0, 0, 1, 2, 1)]
-        assert set(orbit) <= set(decide_calls)
+    # the representative, if it has a delivery, and one other member are
+    # decided; the rest of the orbit sends that member's rows moved
+    orbit_checks = full_checks.frames.count((0, 0, 1, 2, 1))
+    assert orbit_checks == (2 if how == "rows removed" else 1)
 
 
-def test_swapped_deliveries_within_an_orbit_are_checked_in_full(decide_calls):
+def test_swapped_deliveries_within_an_orbit_are_checked_in_full(full_checks):
     scheme = cached_kuser(CornerPointId.KU_MAN, 3, 4, 1)
     pattern = (0, 1, 2, 1)
     _, a, b = sorted(d for d in scheme.delivery if canonical_file_pattern(d) == pattern)[:3]
@@ -240,7 +224,9 @@ def test_swapped_deliveries_within_an_orbit_are_checked_in_full(decide_calls):
         encoding = FieldMatrix.from_rows(scheme.field, serves_both[other], ncols=width)
         delivery[d] = {sender: SenderSignal(encoding)}
     swapped = _replace(scheme, delivery)
+    full_checks.clear()
     report = verify(swapped)
     assert_matches_oracle(swapped, report)
     assert report.passed
-    assert {a, b} <= set(decide_calls)
+    # the pattern, then a and b, whose moved rows differ from it and from each other
+    assert full_checks.frames.count(pattern) == 3

@@ -95,30 +95,26 @@ def test_verify_matches_the_expanded_scheme(label, scheme):
         assert scheme.delivery_row_counts(d) == expanded.delivery_row_counts(d)
 
 
-def _assert_verify_reads_only_patterns(scheme, monkeypatch):
-    sent, decided = [], []
-    transmitted, decide = OrbitScheme.transmitted_rows, verify_mod._decide
+def _assert_verify_reads_only_patterns(scheme, monkeypatch, full_checks):
+    read = []
+    signals = OrbitScheme.signals
 
-    def spy_sent(self, d):
-        sent.append(d)
-        return transmitted(self, d)
+    def spy_signals(self, d):
+        read.append(d)
+        return signals(self, d)
 
-    def spy_decide(scheme, verdicts, d, rows):
-        decided.append(d)
-        return decide(scheme, verdicts, d, rows)
-
-    monkeypatch.setattr(OrbitScheme, "transmitted_rows", spy_sent)
-    monkeypatch.setattr(verify_mod, "_decide", spy_decide)
+    monkeypatch.setattr(OrbitScheme, "signals", spy_signals)
+    full_checks.clear()
     report = verify(scheme)
     patterns = enumerate_patterns(scheme.model, scheme.N, scheme.K, scheme.s)
-    assert sent == patterns
-    assert decided == patterns
+    assert read == patterns
+    assert full_checks.frames == patterns
     assert len(report.demands) > len(patterns)
 
 
 @pytest.mark.parametrize("label,scheme", ORBIT_NATIVE, ids=IDS)
-def test_verify_multiplies_out_and_decides_only_patterns(label, scheme, monkeypatch):
-    _assert_verify_reads_only_patterns(scheme, monkeypatch)
+def test_verify_multiplies_out_and_decides_only_patterns(label, scheme, monkeypatch, full_checks):
+    _assert_verify_reads_only_patterns(scheme, monkeypatch, full_checks)
 
 
 def test_delivery_builds_each_demand_once(monkeypatch):
@@ -383,10 +379,10 @@ def test_share_equals_the_share_of_the_expanded_blocks(label, pair):
                                   lambda: adapt_request_random(cached_2rr1s(MAN, 3)).scheme],
                          ids=["share(half-rate, man-2-3)", "rotate(mds-half)", "rotate(man-2-3)",
                               "adapt(mds-half)", "adapt(man-2-3)"])
-def test_verify_of_a_transform_decides_only_patterns(make, monkeypatch):
+def test_verify_of_a_transform_decides_only_patterns(make, monkeypatch, full_checks):
     scheme = make()
     assert isinstance(scheme, OrbitScheme)
-    _assert_verify_reads_only_patterns(scheme, monkeypatch)
+    _assert_verify_reads_only_patterns(scheme, monkeypatch, full_checks)
 
 
 def test_rotation_reads_base_signals_without_expanding_the_base():

@@ -1,9 +1,9 @@
-"""Explicit verify: one product per distinct encoding and a packed reuse test.
+"""Explicit verify: one product per distinct encoding, each demand decided in its frame.
 
 Each scheme is verified twice: as the package does it, and with
-`_demand_entries` swapped for the oracle `conftest.multiset_rule_entries`,
-which multiplies out every demand on its own and applies the sorted
-multiset rule.  Both must give the full check to the same demands, in the
+`_entries` swapped for the oracle `conftest.frame_rule_entries`, which
+multiplies out every demand on its own and moves each row onto the
+demand's frame.  Both must give the full check to the same frames, in the
 same order, and produce identical reports.
 """
 
@@ -11,8 +11,7 @@ import importlib
 
 import pytest
 
-import conftest
-from conftest import cached_2rr1s, cached_kuser, explicit_kuser_mds, multiset_rule_entries
+from conftest import cached_2rr1s, cached_kuser, explicit_kuser_mds, frame_rule_entries
 from d2dcache.adapters import rotate_2rr1s
 from d2dcache.catalog import CornerPointId
 from d2dcache.field import FieldMatrix, solve_in_rowspace
@@ -102,7 +101,7 @@ def _broken(pattern, i):
     return _without_rows(scheme, _member(scheme, pattern, i)), None
 
 
-# label -> (scheme, the demand that must reuse its orbit's verdict, or None)
+# label -> (scheme, a demand that sends its pattern's moved rows, in some order, or None)
 CASES = {
     "kuser/mds broken copy, a member removed": lambda: _broken((0, 0, 1, 2, 1), 2),
     "kuser/mds broken copy, a pattern removed": lambda: _broken((0, 1, 0, 2, 2), 0),
@@ -115,69 +114,95 @@ CASES = {
         _explicit(rotate_2rr1s(cached_2rr1s(CornerPointId.MAN_TWO_THIRDS, 3))), None),
     "kuser/mds, one demand's rows reversed": lambda: _rows_changed(
         cached_kuser(MDS, 4, 5, 2), lambda images: images[::-1]),
-    # a zero row leaves the packed int unchanged but not the row multiset
+    # a zero row leaves the packed int unchanged but not the row count
     "kuser/mds, one demand sends an extra zero row": lambda: (_rows_changed(
         cached_kuser(MDS, 4, 5, 2), lambda images: images + (0,))[0], None),
     "kuser/man, one row moved to another sender": lambda: _row_moved(cached_kuser(MAN, 4, 5, 2)),
+    "2rr1s/n2-7-8 N=2": lambda: (cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2), None),
+}
+
+# label -> RowSpans the full checks of one verify call build, and what the
+# representative rule builds with the same memo: decide each orbit's first
+# demand, reuse its verdict for the demands whose rows are its rows moved, as
+# a multiset, and decide every other demand on its own rows.
+SPANS = {
+    "kuser/mds broken copy, a member removed": (41, 41),
+    "kuser/mds broken copy, a pattern removed": (41, 52),
+    "kuser/mds ascending export": (40, 40),
+    "permute_scheme(kuser/man)": (20, 20),
+    "rotate_2rr1s(half-rate), raw rows": (5, 5),
+    "rotate_2rr1s(man-2-3), expanded": (5, 5),
+    "kuser/mds, one demand's rows reversed": (40, 40),
+    "kuser/mds, one demand sends an extra zero row": (41, 41),
+    "kuser/man, one row moved to another sender": (50, 50),
+    "2rr1s/n2-7-8 N=2": (6, 6),
 }
 
 
-def _verify(scheme, monkeypatch, demand_entries=None, **kwargs):
-    """(demands given the full check, in order; the report's JSON document).
+def _verify(scheme, full_checks, entries=None, **kwargs):
+    """(the frames given a full check, in order; the report's JSON document).
 
-    A full check is a call of `verify._decide`, or of the oracle's
-    `conftest.unmemoized_decide`.
+    entries, when given, stands in for `verify._entries`.
     """
-    decided = []
-
-    def spy(decide):
-        def full_check(scheme, verdicts, d, sent):
-            decided.append(d)
-            return decide(scheme, verdicts, d, sent)
-        return full_check
-
-    with monkeypatch.context() as patch:
-        patch.setattr(verify_mod, "_decide", spy(verify_mod._decide))
-        patch.setattr(conftest, "unmemoized_decide", spy(conftest.unmemoized_decide))
-        if demand_entries is not None:
-            patch.setattr(verify_mod, "_demand_entries", demand_entries)
+    full_checks.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        if entries is not None:
+            patch.setattr(verify_mod, "_entries", entries)
         report = verify_mod.verify(scheme, **kwargs)
-    return decided, report.to_json_dict()
+    return full_checks.frames, report.to_json_dict()
 
 
 @pytest.mark.parametrize("label", list(CASES))
-def test_full_checks_and_reports_match_the_multiset_rule(label, monkeypatch):
-    scheme, reuses = CASES[label]()
+def test_full_checks_and_reports_match_the_multiset_rule(label, full_checks):
+    """verify decides the frames the oracle does, in order, and reports the same.
+
+    The memo, keyed by sorted rows, then makes the verdict one per frame and
+    moved row multiset.
+    """
+    scheme, reused = CASES[label]()
     assert isinstance(scheme, LinearScheme)
-    decided, doc = _verify(scheme, monkeypatch)
-    assert (decided, doc) == _verify(scheme, monkeypatch, multiset_rule_entries), label
-    assert (_verify(scheme, monkeypatch, check_decodability=False)
-            == _verify(scheme, monkeypatch, multiset_rule_entries, check_decodability=False))
-    if reuses is not None:
-        assert reuses not in decided
-        assert _member(scheme, canonical_file_pattern(reuses), 0) in decided
+    decided, doc = _verify(scheme, full_checks)
+    assert (decided, doc) == _verify(scheme, full_checks, frame_rule_entries), label
+    assert (_verify(scheme, full_checks, check_decodability=False)
+            == _verify(scheme, full_checks, frame_rule_entries, check_decodability=False))
+    if reused is not None:
+        # only the pattern's own check builds a span in the orbit
+        _verify(scheme, full_checks)
+        pattern = canonical_file_pattern(reused)
+        spans = [spans for frame, _, spans in full_checks.checks if frame == pattern]
+        assert spans[0] <= 1 and not any(spans[1:])
 
 
-def test_cases_reach_reuse_fallback_and_failure(monkeypatch):
+@pytest.mark.parametrize("label", list(CASES))
+def test_full_checks_build_no_more_spans_than_the_representative_rule(label, full_checks):
+    now, representative = SPANS[label]
+    scheme, _ = CASES[label]()
+    full_checks.clear()
+    verify_mod.verify(scheme)
+    assert full_checks.check_spans == now <= representative
+
+
+def test_cases_reach_reuse_fallback_and_failure(full_checks):
     """The cases exercise what they are named for."""
     def run(label):
         scheme, _ = CASES[label]()
-        decided, doc = _verify(scheme, monkeypatch)
+        decided, doc = _verify(scheme, full_checks)
         return scheme, decided, doc
 
-    # orbits are reused, but a removed pattern's orbit members are checked in full
+    # a removed pattern is decided, then one other member for the rest of its orbit
     scheme, decided, doc = run("kuser/mds broken copy, a pattern removed")
-    orbit = [d for d in scheme.delivery if canonical_file_pattern(d) == (0, 1, 0, 2, 2)]
-    assert set(orbit) <= set(decided) and len(decided) < len(scheme.delivery)
+    assert decided.count((0, 1, 0, 2, 2)) == 2 and len(decided) < len(scheme.delivery)
     assert sum(not e["decodable"] for e in doc["demands"]) == 1
-    # demands that list their moved rows in another order still reuse the verdict
-    scheme, decided, doc = run("kuser/mds ascending export")
-    assert len(decided) < len(scheme.delivery)
-    assert any(_sent(scheme, d) != _pattern_rows_moved(scheme, d)
-               for d in scheme.delivery if d not in decided)
+    # demands that list their moved rows in another order reach _decide but build no span
+    for label in ("kuser/mds ascending export", "2rr1s/n2-7-8 N=2"):
+        scheme, decided, doc = run(label)
+        assert any(_sent(scheme, d) != _pattern_rows_moved(scheme, d)
+                   for d in scheme.delivery), label
+        assert len(set(decided)) < len(decided) <= len(scheme.delivery), label
+        assert full_checks.check_spans <= len(set(decided)), label
     scheme, decided, doc = run("kuser/mds, one demand sends an extra zero row")
     (d,) = [d for d in scheme.delivery if 0 in _sent(scheme, d)]
-    assert d in decided
+    assert decided.count(canonical_file_pattern(d)) == 2
     scheme, decided, doc = run("rotate_2rr1s(half-rate), raw rows")
     assert not scheme.encoding_clean
     scheme, decided, doc = run("rotate_2rr1s(man-2-3), expanded")
