@@ -95,12 +95,20 @@ def _build_parser() -> _Parser:
 
 @contextmanager
 def _output(out: Optional[str]) -> Iterator[TextIO]:
-    """stdout, or a temp file beside `out` that replaces `out` only on success."""
+    """stdout, or a temp file beside `out` that replaces `out` only on success.
+
+    Opened before the command runs, so an unusable `out` fails first, by its own name.
+    """
     if out is None:
         yield sys.stdout
         return
     target = Path(out)
-    fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=".d2dcache-")
+    if target.is_dir():
+        raise IsADirectoryError(f"is a directory: {out!r}")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=str(target.parent) or ".", prefix=".d2dcache-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, out) from None
     try:
         with os.fdopen(fd, "w") as handle:
             yield handle
@@ -113,20 +121,12 @@ def _output(out: Optional[str]) -> Iterator[TextIO]:
         raise
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
-    with _output(out) as handle:
-        handle.write(text)
-        if not text.endswith("\n"):
-            handle.write("\n")
-
-
-def _write_json(doc: object, out: Optional[str]) -> None:
+def _write_json(doc: object, out: TextIO) -> None:
     """`json.dumps(doc, indent=2)` and a newline, without ever holding the whole text."""
     pieces = json.JSONEncoder(indent=2).iterencode(doc)
-    with _output(out) as handle:
-        while batch := list(islice(pieces, JSON_BATCH)):
-            handle.write("".join(batch))
-        handle.write("\n")
+    while batch := list(islice(pieces, JSON_BATCH)):
+        out.write("".join(batch))
+    out.write("\n")
 
 
 def _parse_baselines(items: Sequence[str]) -> dict[str, str]:
@@ -154,10 +154,10 @@ def _sample_grid(lo: Fraction, hi: Fraction, samples: int,
     return sorted(grid)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, out: TextIO) -> int:
     scheme = resolve_scheme(args.source, args.N, args.K, args.s)
     report = verify(scheme)
-    _write_json(report.to_json_dict(), args.out)
+    _write_json(report.to_json_dict(), out)
     if report.passed:
         return EXIT_OK
     failing = [",".join(str(v) for v in e.demand) for e in report.demands if not e.decodable]
@@ -170,13 +170,13 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED
 
 
-def cmd_export(args) -> int:
+def cmd_export(args, out: TextIO) -> int:
     scheme = resolve_scheme(args.source, args.N, args.K, args.s)
-    _write_json(scheme_to_dict(scheme), args.out)
+    _write_json(scheme_to_dict(scheme), out)
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args, out: TextIO) -> int:
     model, N = args.model, args.N
     if model == "trad" and N != 2:
         raise UsageError("the traditional-model sweep is characterized only for --N 2")
@@ -209,11 +209,11 @@ def cmd_sweep(args) -> int:
             c = loaded[name]
             row.append(str(c.value_at(M)) if M >= c.min_M else "")
         lines.append(",".join(row))
-    _write_output("\n".join(lines), args.out)
+    out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
-def cmd_rr_compare(args) -> int:
+def cmd_rr_compare(args, out: TextIO) -> int:
     if not 0 <= args.p <= 1:
         raise UsageError("--p must lie in [0, 1]")
     N = args.N
@@ -248,7 +248,7 @@ def cmd_rr_compare(args) -> int:
         avg_ours = average_rate(args.p, rates_ours)
         avg_base = average_rate(args.p, rates_base)
         lines.append(f"{M},{avg_ours:.15g},{avg_base:.15g}")
-    _write_output("\n".join(lines), args.out)
+    out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -264,7 +264,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        with _output(args.out) as out:
+            return _COMMANDS[args.command](args, out)
     except (UsageError, D2DCacheError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

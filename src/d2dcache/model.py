@@ -21,20 +21,21 @@ request_random  3       any         0..3             idle users, or all
 
 A file permutation pi relabels symbol (n, l) as (pi(n), l).  Demands with
 the same first-appearance file pattern (`canonical_file_pattern`) form one
-orbit under such relabellings, and the pattern itself is the orbit's first
-demand in enumeration order.  Two scheme forms share one accessor surface:
+orbit under such relabellings; the pattern is the orbit's first demand in
+enumeration order, and its file i is file order[i] of d, where
+`file_order(d, N)` lists d's files by first appearance, then the files d
+does not request, ascending.  Two scheme forms share one accessor surface:
 
 - `LinearScheme` stores a delivery for every demand;
-- `OrbitScheme` stores one delivery per pattern.  Its placement must pass
-  the file-invariance test (`file_symmetric`), so every cache span is
-  fixed by every pi, and the delivery of d = pi(pattern) is by definition
-  the pattern's transmitted rows moved by pi (`file_relabelling`,
-  `move_files`).  A pattern's rows must be fixed by every permutation of
-  the files it does not request, so that definition does not depend on
-  which pi is chosen.  `signals(d)` expresses the moved products over each
-  sender's cache and keeps the moved raw rows raw; `delivery` does so for
-  every demand at once, the first time it is read, and shares one signal
-  between equal encodings.
+- `OrbitScheme` stores one delivery per pattern.  Its placement passes the
+  file-invariance test (`file_symmetric`), so every cache span is fixed by
+  every pi, and d's delivery is by definition the pattern's transmitted
+  rows moved onto d by its file order (`move_files`).  Each pattern's rows
+  are fixed by every permutation of the files it does not request, so any
+  other pi onto d moves them the same way.  `signals(d)` is the one
+  expansion: moved products are expressed over each sender's cache, moved
+  raw rows stay raw, and equal encodings share one signal; `delivery` maps
+  it over every demand when first read.
 
 What a sender puts on the air is always `SenderSignal.sent`: its encoding
 rows times its cache, then its raw rows.
@@ -193,20 +194,13 @@ def enumerate_patterns(model: ModelKind, N: int, K: int, s: Optional[int] = None
     return sorted(out)
 
 
-def file_relabelling(rep: Demand, d: Demand, N: int) -> list[int]:
-    """A 0-based file permutation pi with d = pi(rep), entry by entry.
+def file_order(d: Demand, N: int) -> list[int]:
+    """d's files by first appearance, then the files d does not request, ascending (0-based).
 
-    Files that rep does not request go to the files d does not request,
-    both in ascending order.
+    File i of d's pattern is file order[i] of d; the inverse maps d onto its pattern.
     """
-    perm: list[Optional[int]] = [None] * N
-    for a, b in zip(rep, d):
-        if a:
-            perm[a - 1] = b - 1
-    if None in perm:
-        spare = iter(sorted(set(range(N)).difference(perm)))
-        perm = [next(spare) if p is None else p for p in perm]
-    return perm
+    first = dict.fromkeys([v - 1 for v in d if v])
+    return [*first, *[n for n in range(N) if n not in first]]
 
 
 def move_files(image: int, perm: Sequence[int], block: int) -> int:
@@ -407,15 +401,15 @@ class OrbitScheme(_Placement):
 
     ``patterns`` maps each canonical file pattern of the model's demands
     to its senders' signals; the pattern is its own orbit's representative.
-    The delivery of d = pi(pattern) is the pattern's transmitted rows, raw
-    rows included, moved by pi.  The constructor checks that the placement
+    The delivery of d is the pattern's transmitted rows, raw rows included,
+    moved onto d by `file_order`.  The constructor checks that the placement
     is file-symmetric, so each cache span is fixed by pi: moved products lie
     in the sender's span, and moved raw rows are kept as raw rows.  It also
     checks the stabilizer contract: every permutation of the files a
     pattern does not request fixes each of its transmitted images, raw rows
-    included.  So every pi with d = pi(pattern) moves the pattern's rows onto the same
-    rows, and delivery(pi(d)) = pi(delivery(d)) for every file permutation
-    pi and demand d, not only for `file_relabelling`'s choice.
+    included.  So every pi with d = pi(pattern) moves the pattern's rows
+    onto the same rows, and delivery(pi(d)) = pi(delivery(d)) for every
+    file permutation pi and demand d, not only for `file_order`'s choice.
     """
 
     patterns: dict[Demand, dict[int, SenderSignal]]
@@ -453,45 +447,47 @@ class OrbitScheme(_Placement):
 
     def _moved_images(self, pattern: Demand, d: Demand) -> dict[int, tuple[int, ...]]:
         """Per sender, the pattern's transmitted images moved onto d, a demand of its orbit."""
-        sent = self._pattern_images[pattern]
-        if d == pattern:
-            return sent
-        perm = file_relabelling(pattern, d, self.N)
+        order = file_order(d, self.N)
         block = self.L * self.field.m
-        return {k: tuple([move_files(image, perm, block) for image in images])
-                for k, images in sent.items()}
+        return {k: tuple([move_files(image, order, block) for image in images])
+                for k, images in self._pattern_images[pattern].items()}
 
     def delivery_row_counts(self, d: Demand) -> dict[int, int]:
         return {k: sig.row_count for k, sig in self.patterns[self._pattern(d)].items()}
 
     def transmitted_rows(self, d: Demand) -> dict[int, FieldMatrix]:
-        """The pattern's transmitted rows, each moved by the relabelling that maps it onto d."""
+        """The pattern's transmitted rows, each moved onto d by `file_order`."""
         cols = self.symbol_count
         return {k: FieldMatrix(self.field, len(images), cols, images)
                 for k, images in self._moved_images(self._pattern(d), d).items()}
 
     def signals(self, d: Demand) -> dict[int, SenderSignal]:
-        """Demand d's signal per sender, built on its own."""
-        return self._signals(self._pattern(d), d, {}, {})
+        """Demand d's signal per sender."""
+        return self._signals(self._pattern(d), d)
 
-    def _signals(self, pattern: Demand, d: Demand, seen: dict,
-                 interned: dict) -> dict[int, SenderSignal]:
+    @functools.cached_property
+    def _caches(self) -> tuple[dict, dict]:
+        """`_signals`' memos: signals by (sender, moved images), and by encoding."""
+        return {}, {(sig.matrix.ncols, sig.matrix.images, sig.raw_images): sig
+                    for per_sender in self.patterns.values() for sig in per_sender.values()}
+
+    def _signals(self, pattern: Demand, d: Demand) -> dict[int, SenderSignal]:
         """d's signal per sender: its pattern's, or its moved rows expressed.
 
         A sender with no rows keeps the pattern's signal.  The first
         `matrix.nrows` moved images are the moved products, which stay in the
         cache span because every file relabelling fixes it, and are expressed
-        over it; the rest are the moved raw rows and stay raw.  Across
-        calls, `seen`, keyed (sender, moved images), expresses each row set
-        once, and `interned`, keyed (cache rows, coefficient images, raw
-        images), hands out one signal per encoding.
+        over it; the rest are the moved raw rows and stay raw.  Each distinct
+        (sender, moved images) is expressed once per scheme, and equal
+        encodings share one signal, a pattern's where one has it.
         """
         stored = self.patterns[pattern]
         if d == pattern:
             return stored
+        expressed, interned = self._caches
         out = {}
         for k, images in self._moved_images(pattern, d).items():
-            sig = seen.get((k, images)) if images else stored[k]
+            sig = expressed.get((k, images)) if images else stored[k]
             if sig is None:
                 n = stored[k].matrix.nrows
                 matrix = encoded_signal(self.placement[k - 1], images[:n]).matrix
@@ -499,20 +495,14 @@ class OrbitScheme(_Placement):
                 new = SenderSignal(matrix, FieldMatrix(self.field, len(raw), self.symbol_count,
                                                        raw) if raw else None)
                 key = (matrix.ncols, matrix.images, raw)
-                sig = seen[k, images] = interned.setdefault(key, new)
+                sig = expressed[k, images] = interned.setdefault(key, new)
             out[k] = sig
         return out
 
     @functools.cached_property
     def delivery(self) -> Mapping[Demand, dict[int, SenderSignal]]:
-        """Every demand's signals, read-only, built once on first access.
-
-        Equal encodings share one signal, a pattern's where one has it.
-        """
-        interned = {(sig.matrix.ncols, sig.matrix.images, sig.raw_images): sig
-                    for per_sender in self.patterns.values() for sig in per_sender.values()}
-        seen: dict = {}
-        return MappingProxyType({d: self._signals(canonical_file_pattern(d), d, seen, interned)
+        """Every demand's signals, read-only, built once on first access."""
+        return MappingProxyType({d: self._signals(canonical_file_pattern(d), d)
                                  for d in enumerate_demands(self.model, self.N, self.K, self.s)})
 
     def delivery_demands(self) -> Iterable[Demand]:

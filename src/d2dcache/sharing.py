@@ -96,7 +96,10 @@ def concatenate_blocks(parts: Sequence[tuple[Scheme, int]]) -> Scheme:
 
     def signals(d: Demand) -> dict[int, SenderSignal]:
         # each scheme's signals once, whatever its count
-        per_part = [sch.signals(d) for sch, _ in parts]
+        try:
+            per_part = [sch.signals(d) for sch, _ in parts]
+        except KeyError:
+            raise ConfigurationError(f"a block scheme has no delivery for demand {d}") from None
         blocks_of = [per for per, (_, count) in zip(per_part, parts) for _ in range(count)]
         per_sender: dict[int, SenderSignal] = {}
         for k in senders_of(d):

@@ -10,18 +10,20 @@ Each demand d is decided in its frame: its first-appearance file pattern
 when the placement is file-symmetric (`model.file_symmetric`: every cache
 row space is fixed by the transposition (1 2) and the N-cycle, hence by
 all of S_N; an OrbitScheme passed that test when it was built), and d
-itself otherwise.  A file permutation pi with pi(d) = frame
-(`file_relabelling`) fixes every cache span and maps d's requested unit
-selectors onto the frame's, so a requester decodes d from its rows iff it
-decodes the frame from their pi-images.
+itself otherwise.  The inverse of d's `file_order` maps d onto its
+pattern, fixes every cache span and maps d's requested unit selectors
+onto the frame's, so a requester decodes d from its rows iff it decodes
+the frame from their images under it.
 
-Within one call each distinct (sender, encoding, raw rows) is multiplied
-out once (`SenderSignal.sent`) into one int that holds its rows at a
-stride of N*L*m bits.  A demand's rows are its senders' ints
-concatenated, moved onto the frame by one masked shift per file block
-(`_moved`), and every demand with the same (frame, moved rows, row count)
-takes one verdict.  An OrbitScheme's rows of d are its pattern's rows
-moved, by definition, so only its patterns are multiplied out and decided.
+Each distinct (sender, encoding, raw rows) becomes one int that holds
+its rows at a stride of N*L*m bits: an OrbitScheme's pattern rows were
+multiplied out when it was built (`OrbitScheme._pattern_images`), and any
+other scheme's are multiplied out once per call (`SenderSignal.sent`).  A
+demand's rows are its senders' ints concatenated, gathered onto the frame
+by one masked shift per file block (`_moved`), and every demand with the
+same (frame, moved rows, row count) takes one verdict.  An OrbitScheme's
+rows of d are its pattern's rows moved, by definition, so only its
+patterns are decided.
 
 A full check decides each (requester, file, set of sent rows) once per
 call: the verdict depends on nothing else, since the placement and L are
@@ -46,7 +48,7 @@ from .model import (
     OrbitScheme,
     canonical_file_pattern,
     enumerate_demands,
-    file_relabelling,
+    file_order,
     file_symmetric,
     idle_counts,
     requesters_of,
@@ -273,12 +275,14 @@ def _entries(scheme, demands: list[Demand], covered: Optional[set[Demand]],
                     key = (k, sig.matrix.images, sig.raw_images)
                     product = products.get(key)
                     if product is None:
-                        product = products[key] = _packed_rows(scheme, k, sig, stride)
+                        images = (scheme._pattern_images[frame][k] if orbit_native
+                                  else sig.sent(scheme.placement[k - 1]))
+                        product = products[key] = _packed(images, stride)
                     packed |= product[0] << count * stride
                     count += product[1]
                     counts[k] = product[1]
                 if source != frame:
-                    packed = _moved(packed, count, file_relabelling(d, frame, scheme.N), block)
+                    packed = _moved(packed, count, file_order(d, scheme.N), block)
                 key = (frame, packed, count)
                 verdict = decided.get(key)
                 if verdict is None:
@@ -292,12 +296,8 @@ def _entries(scheme, demands: list[Demand], covered: Optional[set[Demand]],
     return entries, account.worst
 
 
-def _packed_rows(scheme, k: int, sig, stride: int) -> tuple[int, int]:
-    """(packed rows, row count) that sender k puts on the air for signal sig.
-
-    Row i of the product, then of the raw rows, takes bits [i*stride, (i+1)*stride).
-    """
-    images = sig.sent(scheme.placement[k - 1])
+def _packed(images: tuple[int, ...], stride: int) -> tuple[int, int]:
+    """(packed rows, row count) of the row images: row i takes bits [i*stride, (i+1)*stride)."""
     packed = 0
     for i, image in enumerate(images):
         packed |= image << i * stride
@@ -356,15 +356,15 @@ def _decodes(cache: RowSpan, sent: RowSpan, N: int, L: int, file_id: int) -> boo
     return _file_decodable(span, N, L, file_id)
 
 
-def _moved(packed: int, count: int, perm: list[int], block: int) -> int:
-    """count packed rows, file n's block moved to block perm[n] (0-based) by one shift per file."""
-    stride = len(perm) * block
+def _moved(packed: int, count: int, order: list[int], block: int) -> int:
+    """count packed rows, file order[i]'s block gathered into block i (0-based), one shift each."""
+    stride = len(order) * block
     # file 0's block in every row
     lanes = ((1 << count * stride) - 1) // ((1 << stride) - 1) * ((1 << block) - 1)
     moved = 0
-    for n, p in enumerate(perm):
+    for i, n in enumerate(order):
         part = packed & lanes << n * block
-        moved |= part << (p - n) * block if p >= n else part >> (n - p) * block
+        moved |= part << (i - n) * block if i >= n else part >> (n - i) * block
     return moved
 
 

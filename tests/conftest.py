@@ -18,7 +18,7 @@ from d2dcache.model import (
     SenderSignal,
     canonical_file_pattern,
     enumerate_demands,
-    file_relabelling,
+    file_order,
     move_files,
     requesters_of,
     senders_of,
@@ -205,10 +205,10 @@ def frame_rule_entries(scheme, demands, covered, verdicts, symmetric):
 
     Every demand is multiplied out on its own.  Its frame is its file
     pattern when symmetric, else itself, and each transmitted image is
-    moved onto the frame by `move_files`.  The first demand with a given
-    frame and moved images, in order, is decided by `unmemoized_decide`,
-    looked up at call time so a spy sees it, and every later one takes
-    that verdict.
+    moved onto the frame by `move_files` with the inverse of d's
+    `file_order`.  The first demand with a given frame and moved images,
+    in order, is decided by `unmemoized_decide`, looked up at call time so
+    a spy sees it, and every later one takes that verdict.
     """
     block = scheme.L * scheme.field.m
     decided = {}
@@ -224,7 +224,10 @@ def frame_rule_entries(scheme, demands, covered, verdicts, symmetric):
         verdict = (None, ())
         if verdicts is not None:
             frame = canonical_file_pattern(d) if symmetric else d
-            perm = file_relabelling(d, frame, scheme.N)
+            order = file_order(d, scheme.N) if symmetric else range(scheme.N)
+            perm = [0] * scheme.N  # the inverse of order: d's files onto the frame's
+            for i, n in enumerate(order):
+                perm[n] = i
             moved = tuple(move_files(image, perm, block)
                           for mat in scheme.transmitted_rows(d).values() for image in mat.images)
             if (frame, moved) not in decided:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from d2dcache.adapters import adapt_request_random
 from d2dcache.bounds import (
     bound_lines_2rr1s,
     converse_2rr1s,
@@ -17,8 +18,10 @@ from d2dcache.bounds import (
 from d2dcache.catalog import CornerPointId, corner_value
 from d2dcache.curves import envelope, first_crossing
 from d2dcache.errors import ConfigurationError, FeasibilityError, InterchangeError
+from d2dcache.model import requesters_of
+from d2dcache.verify import verify
 
-from conftest import TWO_RR_POINTS, rational_grid
+from conftest import TWO_RR_POINTS, cached_2rr1s, rational_grid
 
 
 # ---------------------------------------------------------------------------
@@ -88,18 +91,39 @@ def test_unknown_regime_rejected():
         paper_corner_points("kuser", 4)
 
 
+# the 2rr1s corners behind each printed list, in its order
+PRINTED_IDS = {
+    2: [CornerPointId.N2_SEVEN_EIGHTHS, CornerPointId.HALF_RATE,
+        CornerPointId.MAN_TWO_THIRDS, CornerPointId.FULL],
+    3: [CornerPointId.MDS_HALF, CornerPointId.HALF_RATE,
+        CornerPointId.MAN_TWO_THIRDS, CornerPointId.FULL],
+    4: [CornerPointId.MDS_HALF, CornerPointId.MAN_TWO_THIRDS, CornerPointId.FULL],
+    6: [CornerPointId.MDS_HALF, CornerPointId.MAN_TWO_THIRDS, CornerPointId.FULL],
+}
+
+
 def test_printed_lists_agree_with_catalog_corner_values():
-    ids_by_N = {
-        2: [CornerPointId.N2_SEVEN_EIGHTHS, CornerPointId.HALF_RATE,
-            CornerPointId.MAN_TWO_THIRDS, CornerPointId.FULL],
-        3: [CornerPointId.MDS_HALF, CornerPointId.HALF_RATE,
-            CornerPointId.MAN_TWO_THIRDS, CornerPointId.FULL],
-        6: [CornerPointId.MDS_HALF, CornerPointId.MAN_TWO_THIRDS, CornerPointId.FULL],
-    }
-    for N, ids in ids_by_N.items():
+    for N, ids in PRINTED_IDS.items():
         listed = [(p.M, p.R) for p in paper_corner_points("2rr1s", N)]
         built = [corner_value(point, N) for point in ids]
         assert listed == built
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_printed_r1_list_is_reproduced_by_adaptations(N):
+    """Each printed r=1 point is (memory, r=1 worst rate) of one adaptation.
+
+    It is the adaptation of the 2rr1s corner at the same place in
+    PRINTED_IDS[N], and every r=1 demand of it decodes.
+    """
+    built = []
+    for point in PRINTED_IDS[N]:
+        adaptation = adapt_request_random(cached_2rr1s(point, N))
+        report = verify(adaptation.scheme)
+        assert all(e.decodable for e in report.demands if len(requesters_of(e.demand)) == 1)
+        (memory,) = set(report.memory)
+        built.append((memory, adaptation.per_r_worst[1]))
+    assert [(p.M, p.R) for p in paper_corner_points("rr_ours_r1", N)] == built
 
 
 def test_adapted_r3_is_three_halves_of_base():

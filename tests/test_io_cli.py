@@ -10,6 +10,7 @@ import pytest
 
 from d2dcache.adapters import adapt_request_random, rotate_2rr1s
 from d2dcache.catalog import CornerPointId
+from d2dcache import cli
 from d2dcache.cli import MAX_SAMPLES, main
 from d2dcache.errors import InterchangeError
 from d2dcache.io import (
@@ -386,6 +387,20 @@ def test_cli_export_round_trip(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["worst_case_rate"] == "1/2"
     assert report["L"] == 6
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "adir"])
+def test_cli_refuses_an_unusable_out_before_verifying(target, tmp_path, capsys, monkeypatch):
+    (tmp_path / "adir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    verified = []
+    monkeypatch.setattr(cli, "verify", lambda scheme: verified.append(scheme))
+    args = ["verify", "builtin:kuser/man", "--N", "3", "--K", "4", "--s", "1", "--out", target]
+    assert main(args) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: ") and repr(target) in errors[0]
+    assert not verified
+    assert not list(tmp_path.rglob(".d2dcache-*"))
 
 
 @pytest.mark.parametrize("source", ["n2-7-8", "kuser/mds N=4 K=5 s=2", "corrupted"])

@@ -424,6 +424,19 @@ def test_share_rejects_mismatched_inputs():
         memory_share(a, cached_traditional(), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("partial_first", [True, False])
+def test_share_names_a_demand_a_block_does_not_deliver(partial_first):
+    base = cached_2rr1s(CornerPointId.N2_SEVEN_EIGHTHS, 2)
+    delivery = dict(base.delivery)
+    del delivery[(0, 1, 1)]
+    partial = LinearScheme(base.model, base.N, base.K, base.s, base.L, base.field,
+                           base.placement, delivery)
+    other = cached_2rr1s(CornerPointId.MDS_HALF, 2)
+    a, b = (partial, other) if partial_first else (other, partial)
+    with pytest.raises(ConfigurationError, match=r"demand \(0, 1, 1\)"):
+        memory_share(a, b, Fraction(1, 2))
+
+
 # ---------------------------------------------------------------------------
 # permutation
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from conftest import (
     placement_with_file_one_reversed,
 )
 from d2dcache.adapters import adapt_request_random, rotate_2rr1s
-from d2dcache.catalog import CornerPointId
+from d2dcache.catalog import CornerPointId, build_kuser_scheme
 from d2dcache.errors import ConfigurationError
 from d2dcache.field import GF2, FieldMatrix
 from d2dcache.model import (
@@ -115,6 +115,22 @@ def _assert_verify_reads_only_patterns(scheme, monkeypatch, full_checks):
 @pytest.mark.parametrize("label,scheme", ORBIT_NATIVE, ids=IDS)
 def test_verify_multiplies_out_and_decides_only_patterns(label, scheme, monkeypatch, full_checks):
     _assert_verify_reads_only_patterns(scheme, monkeypatch, full_checks)
+
+
+@pytest.mark.parametrize("point", [CornerPointId.KU_MAN, CornerPointId.KU_MDS])
+def test_verify_reuses_the_constructors_pattern_rows(point, monkeypatch):
+    """The constructor multiplied every pattern out, so verify multiplies nothing."""
+    scheme = build_kuser_scheme(point, 4, 7, 3)
+    products = []
+    matmul = FieldMatrix.matmul
+
+    def spy(self, other):
+        products.append(self.nrows)
+        return matmul(self, other)
+
+    monkeypatch.setattr(FieldMatrix, "matmul", spy)
+    assert verify(scheme).passed
+    assert products == []
 
 
 def test_delivery_builds_each_demand_once(monkeypatch):

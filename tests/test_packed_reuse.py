@@ -20,7 +20,7 @@ from d2dcache.model import (
     SenderSignal,
     canonical_file_pattern,
     enumerate_demands,
-    file_relabelling,
+    file_order,
     move_files,
     permute_scheme,
 )
@@ -92,8 +92,8 @@ def _sent(scheme, d) -> list[int]:
 def _pattern_rows_moved(scheme, d) -> list[int]:
     """The transmitted images of d's pattern, each moved onto d."""
     pattern = _member(scheme, canonical_file_pattern(d), 0)
-    perm = file_relabelling(pattern, d, scheme.N)
-    return [move_files(image, perm, scheme.L * scheme.field.m) for image in _sent(scheme, pattern)]
+    order = file_order(d, scheme.N)
+    return [move_files(image, order, scheme.L * scheme.field.m) for image in _sent(scheme, pattern)]
 
 
 def _broken(pattern, i):
